@@ -26,8 +26,8 @@ inline double now_seconds() {
 /// Runs `op` (which performs `ops_per_call` logical operations) repeatedly
 /// for at least `target_seconds`, returns operations per second. Two calls
 /// warm up outside the measurement window — two, because adaptive structures
-/// under test (e.g. the pool's lazy nursery) may spend their first *two*
-/// calls transitioning to steady state.
+/// under test (e.g. a lazily built memo) may spend their first *two* calls
+/// transitioning to steady state.
 ///
 /// Clock reads are amortized over a geometrically growing batch of calls
 /// (re-doubled until one batch spans ~1% of the window), so nanosecond-scale

@@ -1,19 +1,19 @@
 // The seed flat-heap ActivePool, preserved verbatim as a reference model.
 //
-// bench_pool measures the indexed pool against it, and the differential test
-// (tests/pool_diff_test.cpp) asserts the two agree operation-for-operation —
-// including the heap-array order in which removals report their victims,
-// which the worker's completion pipeline observably depends on.
+// The differential test (tests/pool_diff_test.cpp, the PoolDiff suite)
+// asserts that ActivePool agrees with it operation-for-operation — including
+// the heap-array order in which removals report their victims, which the
+// worker's completion pipeline observably depends on.
 //
 // Known tie subtlety: extract_for_sharing here uses an unstable std::sort
 // keyed (depth, bound, code). When two entries carry an identical
 // (code, bound) pair — possible via redundant grants — and the k boundary
 // falls between them, which copy is taken is unspecified by this reference;
-// the indexed pool resolves such ties deterministically by insertion order.
-// The copies are value-identical, so every observable downstream of the
-// worker is unaffected either way; only this reference's internal layout
-// could differ, and only on a standard library whose sort orders the tie
-// differently.
+// ActivePool takes the earlier-inserted one (pinned by
+// ActivePool.ExtractForSharingTakesEarlierInsertedTwin in
+// tests/pool_test.cpp). The copies are value-identical, but the choice
+// decides the survivor's heap slot and so the victim order of later
+// removals.
 #pragma once
 
 #include <algorithm>
@@ -28,8 +28,8 @@
 namespace ftbb::bench {
 
 /// Binary-heap pool ordered by the configured selection rule — the seed
-/// implementation: O(n) best_bound, O(n)+rebuild per removal flavor, full
-/// sort per extraction.
+/// implementation: O(n)+rebuild per removal flavor, full sort per
+/// extraction.
 class LegacyPool {
  public:
   explicit LegacyPool(bnb::SelectRule rule = bnb::SelectRule::kBestFirst)
@@ -52,12 +52,6 @@ class LegacyPool {
     entries_.pop_back();
     if (!entries_.empty()) sift_down(0);
     return top;
-  }
-
-  [[nodiscard]] double best_bound() const {
-    double best = bnb::kInfinity;
-    for (const bnb::Subproblem& p : entries_) best = std::min(best, p.bound);
-    return best;
   }
 
   std::vector<bnb::Subproblem> remove_if(

@@ -1,12 +1,11 @@
 #include "bnb/pool.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "support/check.hpp"
 
 namespace ftbb::bnb {
-
-using core::PathCode;
 
 const char* to_string(SelectRule rule) {
   switch (rule) {
@@ -22,7 +21,9 @@ const char* to_string(SelectRule rule) {
 
 ActivePool::ActivePool(SelectRule rule) : rule_(rule) {}
 
-bool ActivePool::ranks_before(const Subproblem& a, const Subproblem& b) const {
+bool ActivePool::ranks_before(const Entry& ea, const Entry& eb) const {
+  const Subproblem& a = ea.item;
+  const Subproblem& b = eb.item;
   switch (rule_) {
     case SelectRule::kBestFirst:
       if (a.bound != b.bound) return a.bound < b.bound;
@@ -42,387 +43,81 @@ bool ActivePool::ranks_before(const Subproblem& a, const Subproblem& b) const {
   return a.code < b.code;
 }
 
-// ---------------------------------------------------------------------------
-// Index comparators. Every key ends on `seq` so the orders stay strict even
-// for duplicate subproblems (the same code can be granted back redundantly).
-// ---------------------------------------------------------------------------
-
-bool ActivePool::BoundLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->item.bound != b->item.bound) return a->item.bound < b->item.bound;
-  if (a->item.code != b->item.code) return a->item.code < b->item.code;
-  return a->seq < b->seq;
-}
-bool ActivePool::BoundLess::operator()(const Entry* a, double bound) const {
-  return a->item.bound < bound;
-}
-bool ActivePool::BoundLess::operator()(double bound, const Entry* b) const {
-  return bound < b->item.bound;
-}
-
-bool ActivePool::ShareLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->item.code.depth() != b->item.code.depth()) {
-    return a->item.code.depth() < b->item.code.depth();
-  }
-  if (a->item.bound != b->item.bound) return a->item.bound < b->item.bound;
-  if (a->item.code != b->item.code) return a->item.code < b->item.code;
-  return a->seq < b->seq;
-}
-
-bool ActivePool::CodeLess::operator()(const Entry* a, const Entry* b) const {
-  if (a->item.code != b->item.code) return a->item.code < b->item.code;
-  return a->seq < b->seq;
-}
-bool ActivePool::CodeLess::operator()(const Entry* a, const PathCode& c) const {
-  return a->item.code < c;
-}
-bool ActivePool::CodeLess::operator()(const PathCode& c, const Entry* b) const {
-  return c < b->item.code;
-}
-bool ActivePool::CodeLess::operator()(const Entry* a, const core::PathView& c) const {
-  return a->item.code.view() < c;
-}
-bool ActivePool::CodeLess::operator()(const core::PathView& c, const Entry* b) const {
-  return c < b->item.code.view();
-}
-
-// ---------------------------------------------------------------------------
-// Entry lifecycle
-// ---------------------------------------------------------------------------
-
-ActivePool::Entry* ActivePool::acquire(Subproblem item) {
-  Entry* e = nullptr;
-  if (!free_.empty()) {
-    e = free_.back();
-    free_.pop_back();
-    // Hide the cold-entry miss of the NEXT acquire behind this push's work —
-    // bulk refills are memory-bound on exactly this line.
-    if (!free_.empty()) __builtin_prefetch(free_.back());
-  } else {
-    arena_.push_back(std::make_unique<Entry>());
-    e = arena_.back().get();
-    e->arena_pos = static_cast<std::uint32_t>(arena_.size() - 1);
-  }
-  if (e->item.code.is_root()) {
-    // Fresh entry, or recycled after its payload was moved out (pop): the
-    // destination holds no buffer, so stealing the donor's is free.
-    e->item = std::move(item);
-  } else {
-    // Recycled with a stale payload (clear()): copy-assign reuses the held
-    // buffer's capacity and lets the donor free its just-allocated one — a
-    // hot, allocator-top free instead of a cold free into a random bin,
-    // which keeps a refill loop's allocation stream on the fast path.
-    e->item = item;
-  }
-  e->seq = ++next_seq_;
-  return e;
-}
-
-void ActivePool::destroy_entry(Entry* e) {
-  // Swap-remove from the arena, which owns it.
-  const std::uint32_t pos = e->arena_pos;
-  if (pos + 1 != arena_.size()) {
-    arena_[pos] = std::move(arena_.back());
-    arena_[pos]->arena_pos = pos;
-  }
-  arena_.pop_back();
-}
-
-void ActivePool::release(Entry* e) {
-  // Cap the recycle list so a drained peak-sized pool does not pin its
-  // high-water allocation count forever; past the cap the entry is
-  // destroyed.
-  if (free_.size() < std::max<std::size_t>(1024, heap_.size())) {
-    free_.push_back(e);
-  } else {
-    destroy_entry(e);
-  }
-}
-
-void ActivePool::index_insert(Entry* e) {
-  bound_index_.insert(e);
-  share_index_.insert(e);
-  code_index_.insert(e);
-}
-
-void ActivePool::index_erase(Entry* e) {
-  bound_index_.erase(e);
-  share_index_.erase(e);
-  code_index_.erase(e);
-}
-
-void ActivePool::build_indexes() {
-  // Register everything in the nursery rather than the trees: crossing the
-  // size threshold mid-bulk-load must not charge the load for tree inserts
-  // it may never benefit from. The first query-heavy phase drains it.
-  indexed_ = true;
-  ++maint_.index_builds;
-  nursery_.reserve(heap_.size());
-  for (const HeapSlot& s : heap_) nursery_add(s.e);
-}
-
-void ActivePool::drop_indexes() {
-  if (indexed_) ++maint_.index_drops;
-  bound_index_.clear();
-  share_index_.clear();
-  code_index_.clear();
-  nursery_.clear();
-  bulky_scans_ = 0;
-  indexed_ = false;
-}
-
-void ActivePool::adapt_indexing() {
-  if (!indexed_ && heap_.size() >= kIndexBuildThreshold) {
-    build_indexes();
-  } else if (indexed_ && heap_.size() <= kIndexDropThreshold) {
-    drop_indexes();
-  }
-}
-
-std::size_t ActivePool::nursery_cap() const {
-  return std::max<std::size_t>(kIndexDropThreshold, heap_.size() / 64);
-}
-
-void ActivePool::nursery_add(Entry* e) {
-  // Never flushes: pushes stay O(1) on the index side no matter how many
-  // arrive, and only a query (maybe_flush_nursery) pays the promotion.
-  e->in_index = false;
-  e->nursery_pos = static_cast<std::uint32_t>(nursery_.size());
-  nursery_.push_back(e);
-}
-
-void ActivePool::nursery_remove(Entry* e) {
-  Entry* moved = nursery_.back();
-  nursery_[e->nursery_pos] = moved;
-  moved->nursery_pos = e->nursery_pos;
-  nursery_.pop_back();
-}
-
-void ActivePool::flush_nursery() {
-  if (!nursery_.empty()) {
-    ++maint_.nursery_drains;
-    maint_.nursery_promoted += nursery_.size();
-  }
-  for (Entry* e : nursery_) {
-    e->in_index = true;
-    index_insert(e);
-  }
-  nursery_.clear();
-  bulky_scans_ = 0;
-}
-
-void ActivePool::maybe_flush_nursery() {
-  if (nursery_.size() <= nursery_cap()) return;
-  if (++bulky_scans_ >= kNurseryFlushScans) flush_nursery();
-}
-
-void ActivePool::untrack(Entry* e) {
-  if (e->in_index) {
-    index_erase(e);
-  } else {
-    nursery_remove(e);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Core heap operations
-// ---------------------------------------------------------------------------
-
 void ActivePool::push(Subproblem p) {
   ++maint_.pushes;
-  Entry* raw = acquire(std::move(p));
-  heap_.push_back(HeapSlot{raw->item.bound,
-                           static_cast<std::uint32_t>(raw->item.code.depth()),
-                           raw});
+  heap_.push_back(Entry{std::move(p), ++next_seq_});
   sift_up(heap_.size() - 1);
-  if (indexed_) {
-    nursery_add(raw);
-  } else {
-    adapt_indexing();
-  }
 }
 
 Subproblem ActivePool::pop() {
   FTBB_CHECK_MSG(!heap_.empty(), "pop from empty pool");
   ++maint_.pops;
-  Entry* top = heap_.front().e;
-  if (indexed_) untrack(top);
-  if (heap_.size() > 1) {
-    heap_.front() = heap_.back();
-  }
+  Subproblem top = std::move(heap_.front().item);
+  if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  if (indexed_) adapt_indexing();
-  Subproblem out = std::move(top->item);
-  release(top);
+  return top;
+}
+
+template <typename Victim>
+std::vector<Subproblem> ActivePool::remove_where(Victim victim) {
+  std::vector<Subproblem> out;
+  std::size_t write = 0;
+  for (std::size_t read = 0; read < heap_.size(); ++read) {
+    if (victim(read)) {
+      out.push_back(std::move(heap_[read].item));
+    } else {
+      if (write != read) heap_[write] = std::move(heap_[read]);
+      ++write;
+    }
+  }
+  if (!out.empty()) {
+    heap_.resize(write);
+    rebuild();
+  }
   return out;
 }
 
-double ActivePool::best_bound() const {
-  if (heap_.empty()) return kInfinity;
-  double best = kInfinity;
-  if (indexed_) {
-    // Drain bookkeeping is observationally pure (it moves entries between
-    // side structures, never changes the answer), so a const query may do it.
-    const_cast<ActivePool*>(this)->maybe_flush_nursery();
-    if (!bound_index_.empty()) best = (*bound_index_.begin())->item.bound;
-    for (const Entry* e : nursery_) best = std::min(best, e->item.bound);
-    return best;
-  }
-  for (const HeapSlot& s : heap_) best = std::min(best, s.bound);
-  return best;
-}
-
-// ---------------------------------------------------------------------------
-// Removal flavors
-// ---------------------------------------------------------------------------
-
 std::vector<Subproblem> ActivePool::prune_above(double threshold) {
-  std::vector<Entry*> victims;
-  if (indexed_) {
-    maybe_flush_nursery();
-    for (auto it = bound_index_.lower_bound(threshold);
-         it != bound_index_.end(); ++it) {
-      victims.push_back(*it);
-    }
-    maint_.sweep_entries_scanned += victims.size() + nursery_.size();
-    for (Entry* e : nursery_) {
-      if (e->item.bound >= threshold) victims.push_back(e);
-    }
-  } else {
-    maint_.sweep_entries_scanned += heap_.size();
-    for (const HeapSlot& s : heap_) {
-      if (s.bound >= threshold) victims.push_back(s.e);
-    }
-  }
-  return remove_batch(victims);
-}
-
-std::vector<Subproblem> ActivePool::remove_covered_by(
-    std::span<const PathCode> regions) {
-  return remove_covered_impl(regions);
-}
-
-std::vector<Subproblem> ActivePool::remove_covered_by(
-    std::span<const core::PathView> regions) {
-  return remove_covered_impl(regions);
-}
-
-template <typename Region>
-std::vector<Subproblem> ActivePool::remove_covered_impl(
-    std::span<const Region> regions) {
-  std::vector<Entry*> victims;
-  if (indexed_) {
-    maybe_flush_nursery();
-    for (const Region& region : regions) {
-      for (auto it = code_index_.lower_bound(region);
-           it != code_index_.end() && region.contains((*it)->item.code); ++it) {
-        victims.push_back(*it);
-      }
-    }
-    maint_.sweep_entries_scanned += victims.size() + nursery_.size();
-    for (Entry* e : nursery_) {
-      for (const Region& region : regions) {
-        if (region.contains(e->item.code)) {
-          victims.push_back(e);
-          break;
-        }
-      }
-    }
-    if (victims.empty()) return {};
-    // Covering codes from one table form an antichain, but arbitrary callers
-    // may pass nested regions; drop double-visited entries.
-    std::sort(victims.begin(), victims.end());
-    victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  } else {
-    maint_.sweep_entries_scanned += heap_.size();
-    for (const HeapSlot& s : heap_) {
-      for (const Region& region : regions) {
-        if (region.contains(s.e->item.code)) {
-          victims.push_back(s.e);
-          break;
-        }
-      }
-    }
-  }
-  return remove_batch(victims);
+  maint_.sweep_entries_scanned += heap_.size();
+  return remove_where(
+      [&](std::size_t i) { return heap_[i].item.bound >= threshold; });
 }
 
 std::vector<Subproblem> ActivePool::remove_if(
     const std::function<bool(const Subproblem&)>& victim) {
-  std::vector<Entry*> victims;
   maint_.sweep_entries_scanned += heap_.size();
-  for (const HeapSlot& s : heap_) {
-    if (victim(s.e->item)) victims.push_back(s.e);
-  }
-  return remove_batch(victims);
+  return remove_where([&](std::size_t i) { return victim(heap_[i].item); });
 }
 
 std::vector<Subproblem> ActivePool::extract_for_sharing(std::size_t k) {
   k = std::min(k, heap_.size());
   if (k == 0) return {};
-  std::vector<Entry*> victims;
-  ShareLess less;
-  if (indexed_) {
-    maybe_flush_nursery();
-    // The k winners are among the nursery and the tree's first k; select
-    // from that union.
-    victims.reserve(k + nursery_.size());
-    auto it = share_index_.begin();
-    for (std::size_t i = 0; i < k && it != share_index_.end(); ++i, ++it) {
-      victims.push_back(*it);
-    }
-    victims.insert(victims.end(), nursery_.begin(), nursery_.end());
-  } else {
-    victims.reserve(heap_.size());
-    for (const HeapSlot& s : heap_) victims.push_back(s.e);
-  }
-  if (victims.size() > k) {
-    std::nth_element(victims.begin(), victims.begin() + (k - 1), victims.end(),
-                     less);
-    victims.resize(k);
-  }
-  maint_.share_extracted += victims.size();
-  return remove_batch(victims);
-}
-
-std::vector<Subproblem> ActivePool::remove_batch(std::vector<Entry*>& victims) {
-  if (victims.empty()) return {};
-  // Slot back-pointers are maintained lazily: sift swaps never store them
-  // (that would touch a scattered cache line per swap in the push hot path),
-  // and this — the only consumer — refreshes them in one contiguous pass.
-  // The compaction below is O(heap) anyway, so the complexity is unchanged,
-  // and a no-victim call has already returned above.
-  for (std::size_t i = 0; i < heap_.size(); ++i) heap_[i].e->slot = i;
-  // Heap-array order is the order the historical flat heap reported (and the
-  // worker's completion pipeline observably depends on it).
-  std::sort(victims.begin(), victims.end(),
-            [](const Entry* a, const Entry* b) { return a->slot < b->slot; });
-  std::vector<Subproblem> out;
-  out.reserve(victims.size());
-  for (Entry* v : victims) {
-    if (indexed_) untrack(v);
-    heap_[v->slot].e = nullptr;  // leaves a hole
-    out.push_back(std::move(v->item));
-    release(v);
-  }
-  // In-place compaction: survivors shift left over the holes in array order,
-  // then re-heapify — exactly the historical layout transition.
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < heap_.size(); ++read) {
-    if (heap_[read].e == nullptr) continue;
-    if (write != read) heap_[write] = heap_[read];
-    ++write;
-  }
-  heap_.resize(write);
-  rebuild();
-  if (indexed_) adapt_indexing();
-  return out;
+  std::vector<std::size_t> order(heap_.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  // (depth, bound, code, seq) is a strict total order, so the k winners are
+  // fully determined, twins included.
+  std::nth_element(order.begin(), order.begin() + (k - 1), order.end(),
+                   [this](std::size_t i, std::size_t j) {
+                     const Entry& a = heap_[i];
+                     const Entry& b = heap_[j];
+                     if (a.item.code.depth() != b.item.code.depth()) {
+                       return a.item.code.depth() < b.item.code.depth();
+                     }
+                     if (a.item.bound != b.item.bound) return a.item.bound < b.item.bound;
+                     if (a.item.code != b.item.code) return a.item.code < b.item.code;
+                     return a.seq < b.seq;
+                   });
+  std::vector<bool> take(heap_.size(), false);
+  for (std::size_t i = 0; i < k; ++i) take[order[i]] = true;
+  maint_.share_extracted += k;
+  return remove_where([&take](std::size_t i) { return take[i]; });
 }
 
 std::vector<Subproblem> ActivePool::snapshot() const {
   std::vector<const Entry*> order;
   order.reserve(heap_.size());
-  for (const HeapSlot& s : heap_) order.push_back(s.e);
+  for (const Entry& e : heap_) order.push_back(&e);
   std::sort(order.begin(), order.end(), [](const Entry* a, const Entry* b) {
     if (a->item.code != b->item.code) return a->item.code < b->item.code;
     return a->seq < b->seq;
@@ -433,61 +128,11 @@ std::vector<Subproblem> ActivePool::snapshot() const {
   return out;
 }
 
-void ActivePool::clear() {
-  // Recycle the entry allocations; the stale payloads they keep holding are
-  // reused as buffer capacity by acquire() (see there). The cap is taken
-  // before the heap empties — releasing against the shrinking size would
-  // destroy almost everything.
-  const std::size_t cap = std::max<std::size_t>(1024, heap_.size());
-  // Recycle back-to-front: the LIFO free list then hands entries back in
-  // forward heap-array (≈ allocation) order, a stream the hardware
-  // prefetcher can follow during the next bulk load.
-  for (std::size_t i = heap_.size(); i-- > 0;) {
-    Entry* e = heap_[i].e;
-    if (free_.size() < cap) {
-      free_.push_back(e);
-    } else {
-      destroy_entry(e);
-    }
-  }
-  heap_.clear();
-  drop_indexes();
-}
-
-// ---------------------------------------------------------------------------
-// Sift machinery — pointer swaps, but the exact comparison sequence of the
-// historical Subproblem heap, so the array layout stays bit-identical.
-// ---------------------------------------------------------------------------
-
-bool ActivePool::slot_ranks_before(const HeapSlot& a, const HeapSlot& b) const {
-  switch (rule_) {
-    case SelectRule::kBestFirst:
-      if (a.bound != b.bound) return a.bound < b.bound;
-      if (a.depth != b.depth) return a.depth > b.depth;
-      break;
-    case SelectRule::kDepthFirst:
-      if (a.depth != b.depth) return a.depth > b.depth;
-      if (a.bound != b.bound) return a.bound < b.bound;
-      break;
-    case SelectRule::kBreadthFirst:
-      if (a.depth != b.depth) return a.depth < b.depth;
-      if (a.bound != b.bound) return a.bound < b.bound;
-      break;
-  }
-  return a.e->item.code < b.e->item.code;
-}
-
-void ActivePool::swap_slots(std::size_t i, std::size_t j) {
-  // Deliberately does NOT update the entries' slot back-pointers — see
-  // remove_batch, which refreshes them lazily before their only use.
-  std::swap(heap_[i], heap_[j]);
-}
-
 void ActivePool::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (!slot_ranks_before(heap_[i], heap_[parent])) break;
-    swap_slots(i, parent);
+    if (!ranks_before(heap_[i], heap_[parent])) break;
+    std::swap(heap_[i], heap_[parent]);
     i = parent;
   }
 }
@@ -498,10 +143,10 @@ void ActivePool::sift_down(std::size_t i) {
     std::size_t best = i;
     const std::size_t l = 2 * i + 1;
     const std::size_t r = 2 * i + 2;
-    if (l < n && slot_ranks_before(heap_[l], heap_[best])) best = l;
-    if (r < n && slot_ranks_before(heap_[r], heap_[best])) best = r;
+    if (l < n && ranks_before(heap_[l], heap_[best])) best = l;
+    if (r < n && ranks_before(heap_[r], heap_[best])) best = r;
     if (best == i) return;
-    swap_slots(i, best);
+    std::swap(heap_[i], heap_[best]);
     i = best;
   }
 }
@@ -511,44 +156,11 @@ void ActivePool::rebuild() {
   for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
 }
 
-// ---------------------------------------------------------------------------
-// Validation
-// ---------------------------------------------------------------------------
-
 void ActivePool::check_invariants() const {
-  const std::size_t expect_index = indexed_ ? heap_.size() - nursery_.size() : 0;
-  FTBB_CHECK(bound_index_.size() == expect_index);
-  FTBB_CHECK(share_index_.size() == expect_index);
-  FTBB_CHECK(code_index_.size() == expect_index);
-  if (!indexed_) FTBB_CHECK(nursery_.empty());
-  for (std::size_t i = 0; i < nursery_.size(); ++i) {
-    FTBB_CHECK(!nursery_[i]->in_index);
-    FTBB_CHECK(nursery_[i]->nursery_pos == i);
+  for (std::size_t i = 1; i < heap_.size(); ++i) {
+    FTBB_CHECK_MSG(!ranks_before(heap_[i], heap_[(i - 1) / 2]),
+                   "heap property violated");
   }
-  double min_bound = kInfinity;
-  for (std::size_t i = 0; i < heap_.size(); ++i) {
-    const Entry* e = heap_[i].e;
-    FTBB_CHECK(e != nullptr);
-    FTBB_CHECK(arena_[e->arena_pos].get() == e);
-    // The cached slot key must mirror the item (sift correctness hinges on
-    // it), and the cached-key comparator must agree with the item one.
-    FTBB_CHECK(heap_[i].bound == e->item.bound);
-    FTBB_CHECK(heap_[i].depth == e->item.code.depth());
-    if (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      FTBB_CHECK_MSG(!slot_ranks_before(heap_[i], heap_[parent]),
-                     "heap property violated");
-      FTBB_CHECK(slot_ranks_before(heap_[i], heap_[parent]) ==
-                 ranks_before(e->item, heap_[parent].e->item));
-    }
-    if (indexed_ && e->in_index) {
-      FTBB_CHECK(bound_index_.count(const_cast<Entry*>(e)) == 1);
-      FTBB_CHECK(share_index_.count(const_cast<Entry*>(e)) == 1);
-      FTBB_CHECK(code_index_.count(const_cast<Entry*>(e)) == 1);
-    }
-    min_bound = std::min(min_bound, e->item.bound);
-  }
-  FTBB_CHECK(best_bound() == min_bound);
 }
 
 }  // namespace ftbb::bnb

@@ -65,12 +65,6 @@ class CodeSet {
   /// to ship the most contracted representative of each fresh completion.
   [[nodiscard]] std::optional<PathCode> covering_code(PathView code) const;
 
-  /// Length of the covering prefix: covering_code(code) is always
-  /// code.prefix(*covering_prefix_len(code)), so callers that only need the
-  /// region — not an owned copy — take the zero-copy view code.prefix(len).
-  [[nodiscard]] std::optional<std::size_t> covering_prefix_len(
-      PathView code) const;
-
   /// Termination predicate: the table contracted to the root code.
   /// Defined inline below the class: every scheduling step polls it, and a
   /// cross-TU call for a single flag load is measurable at planetary scale.
@@ -142,6 +136,11 @@ class CodeSet {
   [[nodiscard]] std::size_t code_bytes(const Node& n) const {
     return support::varint_size(n.depth) + n.body_bytes;
   }
+
+  /// Length of the covering prefix: covering_code(code) is always
+  /// code.prefix(*covering_prefix_len(code)).
+  [[nodiscard]] std::optional<std::size_t> covering_prefix_len(
+      PathView code) const;
 
   std::int32_t alloc_node();
   void free_subtree(std::int32_t idx);      // releases idx and descendants

@@ -68,8 +68,9 @@ enum class WorkItem : std::uint8_t {
   // -- pool maintenance --
   kPoolPushes,
   kPoolPops,
-  kNurseryDrains,         // lazy LSM-nursery flush events
-  kNurseryPromoted,       // entries promoted into the ordered trees
+  // Always 0. Kept for the fingerprint layout; e2ebench reads two of them.
+  kNurseryDrains,
+  kNurseryPromoted,
   kIndexBuilds,
   kIndexDrops,
   kSweepEntriesScanned,   // entries/iterations visited by prune & covered sweeps

@@ -174,15 +174,6 @@ void BnbWorker::complete(const PathCode& code) {
                config_.costs.contract_per_code +
                    config_.costs.contract_per_node * (r.nodes_walked + r.merges));
   if (!r.newly_covered) return;  // already known through reports
-  // Remaining pool entries can only be covered by regions that grew since
-  // their push; remember this one so the next covered sweep inspects it.
-  if (!pool_.empty()) {
-    if (pending_cover_hints_.size() < kMaxCoverHints) {
-      pending_cover_hints_.push_back(code);
-    } else {
-      cover_hints_overflowed_ = true;
-    }
-  }
   note_progress();
   fresh_.push_back(code);
   if (fresh_.size() >= effective_report_batch()) {
@@ -209,43 +200,10 @@ void BnbWorker::prune_pool_by_bound() {
   }
 }
 
-void BnbWorker::prune_pool_covered(const std::vector<PathCode>& just_inserted) {
-  const bool overflowed = cover_hints_overflowed_;
-  cover_hints_overflowed_ = false;
-  if (pool_.empty()) {
-    pending_cover_hints_.clear();
-    return;
-  }
-  if (!pool_.indexed() || overflowed) {
-    // Small pool (or an abandoned hint record): one completion-trie walk
-    // per entry beats materializing covering regions, and it is the
-    // always-correct fallback when the hint record is incomplete.
-    pending_cover_hints_.clear();
-    const auto removed = pool_.remove_if(
-        [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
-    stats_.covered_skips += removed.size();
-    return;
-  }
-  // Map every hint to the maximal region the table contracted it into. A
-  // covering code is always a prefix of the query, so each region is a
-  // zero-copy view into the hint (or report code) it came from; the hints
-  // and msg.codes outlive the sweep. Covering codes of one table form an
-  // antichain, so after dedup each region is scanned at most once.
-  cover_regions_.clear();
-  cover_regions_.reserve(pending_cover_hints_.size() + just_inserted.size());
-  const auto add_region = [this](const PathCode& c) {
-    const std::optional<std::size_t> len = table_.covering_prefix_len(c);
-    cover_regions_.push_back(c.view().prefix(len.value_or(c.depth())));
-  };
-  for (const PathCode& c : pending_cover_hints_) add_region(c);
-  for (const PathCode& c : just_inserted) add_region(c);
-  std::sort(cover_regions_.begin(), cover_regions_.end());
-  cover_regions_.erase(std::unique(cover_regions_.begin(), cover_regions_.end()),
-                       cover_regions_.end());
-  const auto removed = pool_.remove_covered_by(
-      std::span<const PathView>(cover_regions_));
+void BnbWorker::prune_pool_covered() {
+  const auto removed = pool_.remove_if(
+      [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
   stats_.covered_skips += removed.size();
-  pending_cover_hints_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -613,10 +571,6 @@ WorkLedger BnbWorker::work_snapshot() const {
   const bnb::PoolMaintStats& pm = pool_.maintenance();
   w[WorkItem::kPoolPushes] = pm.pushes;
   w[WorkItem::kPoolPops] = pm.pops;
-  w[WorkItem::kNurseryDrains] = pm.nursery_drains;
-  w[WorkItem::kNurseryPromoted] = pm.nursery_promoted;
-  w[WorkItem::kIndexBuilds] = pm.index_builds;
-  w[WorkItem::kIndexDrops] = pm.index_drops;
   w[WorkItem::kSweepEntriesScanned] = pm.sweep_entries_scanned;
   w[WorkItem::kShareExtracted] = pm.share_extracted;
   w[WorkItem::kControllerRetunes] = controller_.retunes();
@@ -673,7 +627,7 @@ void BnbWorker::on_message(const Message& msg) {
                        config_.costs.contract_per_node * (r.nodes_walked + r.merges));
       if (r.newly_covered) {
         note_progress();  // fresh knowledge: the computation is advancing
-        prune_pool_covered(msg.codes);
+        prune_pool_covered();
       }
       break;
     }

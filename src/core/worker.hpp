@@ -330,7 +330,7 @@ class BnbWorker {
   void complete(const PathCode& code);
   void absorb_incumbent(double value);
   void prune_pool_by_bound();
-  void prune_pool_covered(const std::vector<PathCode>& just_inserted);
+  void prune_pool_covered();
 
   // -- reports & termination --
   void send_report();
@@ -357,29 +357,14 @@ class BnbWorker {
   bnb::ActivePool pool_;
   CodeSet table_;
   std::vector<PathCode> fresh_;  // locally discovered, unreported completions
-  /// Codes whose insertion into the table newly covered a region while the
-  /// pool was non-empty. A pool entry can only become covered through such
-  /// an insertion (every push is covered-checked first), so the next covered
-  /// sweep needs to inspect only the regions these codes contracted into —
-  /// not the whole pool. Capped: a worker that receives no reports for a
-  /// long stretch (solo, partitioned) would otherwise accumulate one code
-  /// per completion; past the cap the record is abandoned and the next
-  /// sweep falls back to the full per-entry scan, which removes the same
-  /// victim set.
-  static constexpr std::size_t kMaxCoverHints = 512;
-  std::vector<PathCode> pending_cover_hints_;
-  bool cover_hints_overflowed_ = false;
-
   /// Steady-state scratch, one per worker: report/gossip code batches build
   /// into msg_codes_scratch_ (reclaimed from the Message after the fanout
-  /// sends), recovery complements into complement_scratch_, covered sweeps
-  /// collect their region views in cover_regions_, and the paper-literal
-  /// report scheme contracts into report_contract_scratch_. None of these
-  /// change any observable behavior — they only keep the per-call
-  /// vector/trie allocations out of the hot loops.
+  /// sends), recovery complements into complement_scratch_, and the
+  /// paper-literal report scheme contracts into report_contract_scratch_.
+  /// None of these change any observable behavior — they only keep the
+  /// per-call vector/trie allocations out of the hot loops.
   std::vector<PathCode> msg_codes_scratch_;
   std::vector<PathCode> complement_scratch_;
-  std::vector<PathView> cover_regions_;
   CodeSet report_contract_scratch_;
 
   double incumbent_ = bnb::kInfinity;

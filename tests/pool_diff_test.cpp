@@ -1,4 +1,4 @@
-// Differential test: the indexed ActivePool against the seed flat-heap pool.
+// Differential test: ActivePool against the seed flat-heap reference pool.
 //
 // The worker's completion pipeline observably depends not just on pop order
 // but on the heap-array order in which removals report their victims (report
@@ -13,14 +13,12 @@
 
 #include "bench/legacy_pool.hpp"
 #include "bnb/pool.hpp"
-#include "core/code_set.hpp"
 #include "support/rng.hpp"
 
 namespace ftbb::bnb {
 namespace {
 
 using bench::LegacyPool;
-using core::CodeSet;
 using core::PathCode;
 
 PathCode random_code(support::Rng& rng, std::size_t max_depth) {
@@ -40,24 +38,18 @@ Subproblem random_problem(support::Rng& rng) {
                     static_cast<double>(rng.pick(64))};
 }
 
-/// Codes compatible with a single underlying search tree (every node at
-/// depth d branches on variable d) — required by CodeSet's consistency
-/// checks in the table-driven test below.
-PathCode tree_code(support::Rng& rng, std::size_t max_depth) {
-  const std::size_t depth = rng.pick(max_depth + 1);
-  PathCode code = PathCode::root();
-  for (std::size_t d = 0; d < depth; ++d) {
-    code = code.child(static_cast<std::uint32_t>(d), rng.chance(0.5));
-  }
-  return code;
-}
-
 void expect_same(const std::vector<Subproblem>& a,
                  const std::vector<Subproblem>& b, const char* what) {
   ASSERT_EQ(a.size(), b.size()) << what;
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i], b[i]) << what << " diverged at victim " << i;
   }
+}
+
+/// True when some region is an ancestor of (or equal to) `p`'s code.
+bool in_any(const std::vector<PathCode>& regions, const Subproblem& p) {
+  return std::any_of(regions.begin(), regions.end(),
+                     [&p](const PathCode& r) { return r.contains(p.code); });
 }
 
 class PoolDiff : public ::testing::TestWithParam<SelectRule> {};
@@ -83,26 +75,24 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
           [threshold](const Subproblem& p) { return p.bound >= threshold; });
       expect_same(got, want, "prune_above");
     } else if (dice < 0.92) {
-      // Covered sweep over a few random regions (including nested ones —
-      // remove_covered_by must deduplicate overlapping scans).
+      // Covered sweep over a few random regions, nested ones included —
+      // the worker's completion-table sweep has this shape.
       std::vector<PathCode> regions;
       const std::size_t n_regions = 1 + rng.pick(3);
       for (std::size_t i = 0; i < n_regions; ++i) {
         regions.push_back(random_code(rng, 6));
       }
-      const auto got = pool.remove_covered_by(regions);
-      const auto want = legacy.remove_if([&regions](const Subproblem& p) {
-        return std::any_of(regions.begin(), regions.end(),
-                           [&p](const PathCode& r) { return r.contains(p.code); });
-      });
-      expect_same(got, want, "remove_covered_by");
+      const auto covered = [&regions](const Subproblem& p) {
+        return in_any(regions, p);
+      };
+      expect_same(pool.remove_if(covered), legacy.remove_if(covered),
+                  "region remove_if");
     } else {
       const std::size_t k = 1 + rng.pick(8);
       expect_same(pool.extract_for_sharing(k), legacy.extract_for_sharing(k),
                   "extract_for_sharing");
     }
     ASSERT_EQ(pool.size(), legacy.size());
-    ASSERT_EQ(pool.best_bound(), legacy.best_bound());
     if (step % 1024 == 0) pool.check_invariants();
   }
 
@@ -121,13 +111,11 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
   pool.check_invariants();
 }
 
-TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
-  // Drives the nursery through its lazy lifecycle explicitly: a bulk load
-  // far past the index-build threshold (everything sits in the nursery),
-  // the one tolerated bulky query scan, the drain on the second query, and
-  // then removal flavors whose victim sets span tree residents and fresh
-  // nursery residents — all of it operation-identical to the seed pool,
-  // victim order included.
+TEST_P(PoolDiff, LargePoolIsOperationIdentical) {
+  // Thousands of entries: a bulk load, then rounds of top-ups and every
+  // removal flavor over a pool far larger than the randomized stream above
+  // reaches, then a clear and a reload — all of it operation-identical to
+  // the seed pool, victim order included.
   const SelectRule rule = GetParam();
   support::Rng rng(0xAB5EED + static_cast<std::uint64_t>(rule));
   ActivePool pool(rule);
@@ -136,8 +124,7 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
   // Continuous bounds: at this pool size the coarse pick(64) bounds breed
   // exact (depth, bound, code) duplicates, and the seed reference's
   // extraction order is unspecified across such twins (see
-  // legacy_pool.hpp). Tie behavior is MixedOpStream's job; this test pins
-  // the nursery lifecycle.
+  // legacy_pool.hpp). Tie behavior is MixedOpStream's job.
   const auto push_batch = [&](std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       Subproblem p{random_code(rng, 10), rng.uniform()};
@@ -146,20 +133,9 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
     }
   };
 
-  // Bulk load: no query has run, so every entry is nursery-resident.
   push_batch(2000);
   pool.check_invariants();
 
-  // First query after the load tolerates the oversized nursery scan;
-  // the second drains it into the trees. Identical answers either side.
-  EXPECT_EQ(pool.best_bound(), legacy.best_bound());
-  pool.check_invariants();
-  EXPECT_EQ(pool.best_bound(), legacy.best_bound());
-  pool.check_invariants();
-
-  // Steady-state rounds: top up (fresh nursery residents), then remove in
-  // every flavor — victims interleave drained and undrained entries, and
-  // their reported order must match the seed heap-array order exactly.
   for (int round = 0; round < 6; ++round) {
     push_batch(300);
     const double threshold = 0.6 + 0.4 * rng.uniform();
@@ -167,27 +143,23 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
                 legacy.remove_if([threshold](const Subproblem& p) {
                   return p.bound >= threshold;
                 }),
-                "lazy prune_above");
+                "large prune_above");
     push_batch(200);
     std::vector<PathCode> regions;
     for (std::size_t i = 0; i < 2; ++i) regions.push_back(random_code(rng, 5));
-    expect_same(pool.remove_covered_by(regions),
-                legacy.remove_if([&regions](const Subproblem& p) {
-                  return std::any_of(
-                      regions.begin(), regions.end(),
-                      [&p](const PathCode& r) { return r.contains(p.code); });
-                }),
-                "lazy remove_covered_by");
+    const auto covered = [&regions](const Subproblem& p) {
+      return in_any(regions, p);
+    };
+    expect_same(pool.remove_if(covered), legacy.remove_if(covered),
+                "large region remove_if");
     const std::size_t k = 1 + rng.pick(32);
     expect_same(pool.extract_for_sharing(k), legacy.extract_for_sharing(k),
-                "lazy extract_for_sharing");
+                "large extract_for_sharing");
     ASSERT_EQ(pool.size(), legacy.size());
-    ASSERT_EQ(pool.best_bound(), legacy.best_bound());
     pool.check_invariants();
   }
 
-  // Recycled restart: clear both, reload, and re-verify — entry recycling
-  // and the fresh nursery must not perturb any observable.
+  // Clear both, reload, and re-verify the drain order.
   pool.clear();
   legacy.clear();
   EXPECT_TRUE(pool.empty());
@@ -198,51 +170,6 @@ TEST_P(PoolDiff, LazyNurseryDrainIsOperationIdentical) {
   }
   EXPECT_TRUE(pool.empty());
   pool.check_invariants();
-}
-
-TEST_P(PoolDiff, CoveredSweepWithTableHintsMatchesFullScan) {
-  // Reproduces the worker's discipline: every push is covered-checked
-  // against the table first, and every table insertion while the pool is
-  // non-empty records a hint. A sweep over the hints' covering codes must
-  // then remove exactly the entries a full table_.covered() scan would.
-  const SelectRule rule = GetParam();
-  support::Rng rng(0xBEEF + static_cast<std::uint64_t>(rule));
-  ActivePool pool(rule);
-  LegacyPool legacy(rule);
-  CodeSet table;
-  std::vector<PathCode> hints;
-
-  for (int step = 0; step < 8000; ++step) {
-    const double dice = rng.uniform();
-    if (pool.empty() || dice < 0.55) {
-      Subproblem p{tree_code(rng, 10), static_cast<double>(rng.pick(64))};
-      if (table.covered(p.code)) continue;  // the worker's push guard
-      legacy.push(p);
-      pool.push(std::move(p));
-    } else if (dice < 0.75) {
-      EXPECT_EQ(pool.pop(), legacy.pop());
-    } else if (dice < 0.95) {
-      // A "completion" lands in the table (local or via report).
-      const PathCode code = tree_code(rng, 8);
-      const CodeSet::InsertResult r = table.insert(code);
-      if (r.newly_covered && !pool.empty()) hints.push_back(code);
-    } else {
-      // Sweep: hints -> covering codes -> indexed range removal.
-      std::vector<PathCode> regions;
-      for (const PathCode& h : hints) {
-        std::optional<PathCode> cover = table.covering_code(h);
-        regions.push_back(cover.has_value() ? std::move(*cover) : h);
-      }
-      hints.clear();
-      std::sort(regions.begin(), regions.end());
-      regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
-      const auto got = pool.remove_covered_by(regions);
-      const auto want = legacy.remove_if(
-          [&table](const Subproblem& p) { return table.covered(p.code); });
-      expect_same(got, want, "hinted covered sweep");
-    }
-    ASSERT_EQ(pool.size(), legacy.size());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRules, PoolDiff,

@@ -132,12 +132,30 @@ TEST(ActivePool, ExtractForSharingCapsAtSize) {
   EXPECT_TRUE(pool.extract_for_sharing(3).empty());
 }
 
-TEST(ActivePool, BestBound) {
-  ActivePool pool(SelectRule::kDepthFirst);
-  EXPECT_EQ(pool.best_bound(), kInfinity);
-  pool.push(make({{1, false}}, 4.0));
-  pool.push(make({{1, true}}, 2.0));
-  EXPECT_EQ(pool.best_bound(), 2.0);
+TEST(ActivePool, ExtractForSharingTakesEarlierInsertedTwin) {
+  // Two entries with identical (code, bound) are value-identical, but which
+  // one a grant takes decides where the survivor sits in the heap array —
+  // and with it the victim order of every later removal, which the worker's
+  // report pipeline observes. The earlier-inserted twin goes.
+  ActivePool pool(SelectRule::kBestFirst);
+  const Subproblem twin = make({{1, false}}, 5.0);              // depth 1
+  const Subproblem x = make({{1, true}, {2, false}}, 1.0);      // depth 2
+  const Subproblem e = make({{1, true}, {2, true}}, 6.0);       // depth 2
+  const Subproblem f = make({{1, true}, {2, true}, {3, false}}, 7.0);
+  // Heap array after these pushes: [x, twin#1, e, twin#2, f].
+  pool.push(twin);
+  pool.push(x);
+  pool.push(e);
+  pool.push(twin);
+  pool.push(f);
+  // The k = 1 pick falls between the two depth-1 twins.
+  const auto given = pool.extract_for_sharing(1);
+  ASSERT_EQ(given.size(), 1u);
+  EXPECT_EQ(given[0], twin);
+  // Taking twin#1 (slot 1) compacts to [x, e, twin#2, f], which is already a
+  // heap; taking twin#2 (slot 3) would have left [x, twin#1, e, f].
+  const auto rest = pool.remove_if([](const Subproblem&) { return true; });
+  EXPECT_EQ(rest, (std::vector<Subproblem>{x, e, twin, f}));
 }
 
 TEST(ActivePool, PruneAboveRemovesThresholdTail) {
@@ -153,27 +171,6 @@ TEST(ActivePool, PruneAboveRemovesThresholdTail) {
   pool.check_invariants();
 }
 
-TEST(ActivePool, RemoveCoveredByPrunesRegionSubtrees) {
-  ActivePool pool(SelectRule::kBestFirst);
-  pool.push(make({{1, false}}, 1.0));
-  pool.push(make({{1, false}, {2, false}}, 2.0));
-  pool.push(make({{1, false}, {2, true}, {3, false}}, 3.0));
-  pool.push(make({{1, true}}, 4.0));
-  const PathCode region = PathCode::root().child(1, false);
-  const auto removed = pool.remove_covered_by(std::vector<PathCode>{region});
-  EXPECT_EQ(removed.size(), 3u);
-  for (const Subproblem& p : removed) EXPECT_TRUE(region.contains(p.code));
-  ASSERT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.pop().code, PathCode::root().child(1, true));
-  // Nested (non-antichain) regions must not double-remove.
-  pool.push(make({{1, false}}, 1.0));
-  pool.push(make({{1, false}, {2, false}}, 2.0));
-  const auto nested = pool.remove_covered_by(std::vector<PathCode>{
-      region, region.child(2, false), PathCode::root()});
-  EXPECT_EQ(nested.size(), 2u);
-  EXPECT_TRUE(pool.empty());
-}
-
 TEST(ActivePool, SnapshotIsCodeSorted) {
   ActivePool pool(SelectRule::kDepthFirst);
   pool.push(make({{2, true}}, 3.0));
@@ -187,18 +184,16 @@ TEST(ActivePool, SnapshotIsCodeSorted) {
   EXPECT_EQ(pool.size(), 3u);  // snapshot does not disturb the pool
 }
 
-TEST(ActivePool, IndexActivationRoundTripsThroughThreshold) {
-  // Grow far past the build threshold, shrink to empty, and verify ordering
-  // and structure at every transition.
+TEST(ActivePool, LargePoolRoundTrips) {
+  // Grow to thousands of entries, shrink to empty, and verify ordering and
+  // structure along the way.
   support::Rng rng(4242);
   ActivePool pool(SelectRule::kBestFirst);
-  EXPECT_FALSE(pool.indexed());
   for (int i = 0; i < 3000; ++i) {
     pool.push(make({{static_cast<std::uint32_t>(i % 97), i % 2 == 0},
                     {static_cast<std::uint32_t>(i % 31), i % 3 == 0}},
                    rng.uniform(0.0, 100.0)));
   }
-  EXPECT_TRUE(pool.indexed());
   pool.check_invariants();
   const auto shared = pool.extract_for_sharing(40);
   EXPECT_EQ(shared.size(), 40u);
@@ -212,8 +207,6 @@ TEST(ActivePool, IndexActivationRoundTripsThroughThreshold) {
     EXPECT_LT(b, 80.0);
     last = b;
   }
-  EXPECT_FALSE(pool.indexed());
-  EXPECT_EQ(pool.best_bound(), kInfinity);
   pool.check_invariants();
 }
 
