@@ -242,17 +242,39 @@ int main(int argc, char** argv) {
   }
 
   {
-    // The gossip/report path's pattern, same scratch-reuse contract.
+    // The gossip/report path between mutations: the export memo is handed
+    // out shared, so a repeated export is a refcount bump.
     const auto leaves = leaf_codes(10001, 23);
     CodeSet set;
     for (std::size_t i = 0; i < leaves.size(); i += 2) set.insert(leaves[i]);
-    std::vector<PathCode> scratch;
-    bench("code_set_export", 1.0, [&] {
-      set.export_into(scratch);
-      g_sink = g_sink + scratch.size();
-    });
-    bench("code_set_export_fresh", 1.0,
+    bench("code_set_export", 1.0,
           [&] { g_sink = g_sink + set.export_codes().size(); });
+  }
+
+  {
+    // A table gossip arriving: a peer's full export (~2.7k codes, DFS
+    // order) merged into a receiver that already holds about half of it.
+    // Each op copies the receiving table first, so the row includes that.
+    const auto leaves = leaf_codes(11001, 31);
+    CodeSet peer;
+    CodeSet receiver;
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      if (i % 2 == 0) peer.insert(leaves[i]);
+      if (i % 4 == 0 || i % 4 == 3) receiver.insert(leaves[i]);
+    }
+    const core::CodeList gossip = peer.export_codes();
+    bench("code_set_merge_gossip_export", 1.0, [&] {
+      CodeSet table = receiver;
+      g_sink = g_sink + table.insert_all(gossip).nodes_walked;
+    });
+
+    core::Message msg;
+    msg.type = core::MsgType::kTableGossip;
+    msg.from = 3;
+    msg.best_known = -123.0;
+    msg.codes = gossip;
+    bench("message_wire_size_table_gossip", 1.0,
+          [&] { g_sink = g_sink + msg.wire_size(); });
   }
 
   for (const int codes : {8, 64}) {
@@ -261,9 +283,11 @@ int main(int argc, char** argv) {
     msg.type = core::MsgType::kWorkReport;
     msg.from = 3;
     msg.best_known = -123.0;
+    std::vector<PathCode> batch;
     for (int i = 0; i < codes; ++i) {
-      msg.codes.push_back(leaves[static_cast<std::size_t>(i) % leaves.size()]);
+      batch.push_back(leaves[static_cast<std::size_t>(i) % leaves.size()]);
     }
+    msg.codes = core::CodeList(std::move(batch));
     bench("work_report_encode_decode_" + std::to_string(codes) + "codes", 1.0,
           [&] {
             support::ByteWriter w;

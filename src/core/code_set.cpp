@@ -15,9 +15,9 @@ void CodeSet::clear() {
   root_complete_ = false;
   ++version_;
   // Release memo storage: a cleared table (worker restart, scratch reuse)
-  // should not pin the previous incarnation's contracted list.
-  export_memo_.clear();
-  export_memo_.shrink_to_fit();
+  // should not pin the previous incarnation's contracted list. (Batches
+  // still in flight keep their own reference to it.)
+  export_memo_.reset();
   complement_memo_.clear();
   complement_memo_.shrink_to_fit();
   // Node 0 is always the root problem.
@@ -112,12 +112,32 @@ void CodeSet::mark_complete(std::int32_t idx, InsertResult& res) {
 }
 
 CodeSet::InsertResult CodeSet::insert(PathView code) {
+  Cursor cursor;
+  return insert_at(code, cursor);
+}
+
+CodeSet::InsertResult CodeSet::insert_at(PathView code, Cursor& cursor) {
   InsertResult res;
-  std::int32_t cur = 0;
-  for (std::size_t i = 0; i < code.depth(); ++i) {
+  // Resume below the prefix shared with the previous code. Its trie nodes
+  // down to depth `valid` are on the cursor; the previous walk passed every
+  // one shallower than `valid` without finding it complete and checked its
+  // branching variable against the same step word this code has, so a
+  // root-down walk would repeat exactly that. Charge invariance: the
+  // skipped levels still count as walked.
+  const std::size_t limit =
+      std::min({cursor.valid, cursor.prev.depth(), code.depth()});
+  std::size_t i = 0;
+  while (i < limit && cursor.prev.word(i) == code.word(i)) ++i;
+  cursor.prev = code;
+  res.nodes_walked = static_cast<std::uint32_t>(i);
+  std::int32_t cur = cursor.nodes[i];
+  for (; i < code.depth(); ++i) {
     Node& n = nodes_[static_cast<std::size_t>(cur)];
     ++res.nodes_walked;
-    if (n.complete) return res;  // covered by an ancestor; nothing to do
+    if (n.complete) {  // covered by an ancestor; nothing to do
+      cursor.valid = std::min(i, Cursor::kDepth - 1);
+      return res;
+    }
     const std::uint32_t var = code.var(i);
     const std::uint8_t bit = code.bit(i);
     if (n.var == kNoVar) {
@@ -141,8 +161,10 @@ CodeSet::InsertResult CodeSet::insert(PathView code) {
       parent.child[bit] = next;
     }
     cur = next;
+    if (i + 1 < Cursor::kDepth) cursor.nodes[i + 1] = cur;
   }
   ++res.nodes_walked;
+  cursor.valid = std::min(code.depth(), Cursor::kDepth - 1);
   if (nodes_[static_cast<std::size_t>(cur)].complete) return res;
   res.newly_covered = true;
   // The trie changes iff the code is newly covered: fresh nodes are only
@@ -151,13 +173,17 @@ CodeSet::InsertResult CodeSet::insert(PathView code) {
   // stale gossip re-reports known completions — keep the memos warm.
   ++version_;
   mark_complete(cur, res);
+  // Each merge freed the deepest node left on the path and completed its
+  // parent, which is now the deepest usable entry.
+  cursor.valid = std::min(code.depth() - res.merges, Cursor::kDepth - 1);
   return res;
 }
 
-CodeSet::InsertResult CodeSet::insert_all(const std::vector<PathCode>& codes) {
+CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
+  Cursor cursor;
   InsertResult total;
   for (const PathCode& c : codes) {
-    const InsertResult r = insert(c);
+    const InsertResult r = insert_at(c, cursor);
     total.newly_covered = total.newly_covered || r.newly_covered;
     total.nodes_walked += r.nodes_walked;
     total.merges += r.merges;
@@ -235,22 +261,33 @@ void CodeSet::export_dfs(std::int32_t idx, PathCode& path,
   }
 }
 
-void CodeSet::export_into(std::vector<PathCode>& out) const {
-  if (export_memo_version_ != version_) {
-    export_memo_.reserve(complete_count_);
-    std::size_t n = 0;
-    PathCode path;
-    export_dfs(0, path, export_memo_, n);
-    export_memo_.resize(n);
-    export_memo_version_ = version_;
-  }
-  copy_codes(export_memo_, out);
+namespace {
+
+/// True when `memo` is the only reference to its list, so rebuilding it in
+/// place cannot touch a batch still being read. A bare use_count() is a
+/// relaxed load; taking a reference first is an acquire RMW on the count,
+/// which orders the reads of whichever simulator shard dropped the last
+/// other copy before the rewrite that follows.
+bool sole_owner(const std::shared_ptr<std::vector<PathCode>>& memo) {
+  const std::shared_ptr<std::vector<PathCode>> probe = memo;
+  return probe.use_count() == 2;
 }
 
-std::vector<PathCode> CodeSet::export_codes() const {
-  std::vector<PathCode> out;
-  export_into(out);
-  return out;
+}  // namespace
+
+CodeList CodeSet::export_codes() const {
+  if (export_memo_ == nullptr || export_memo_version_ != version_) {
+    if (export_memo_ == nullptr || !sole_owner(export_memo_)) {
+      export_memo_ = std::make_shared<std::vector<PathCode>>();
+    }
+    export_memo_->reserve(complete_count_);
+    std::size_t n = 0;
+    PathCode path;
+    export_dfs(0, path, *export_memo_, n);
+    export_memo_->resize(n);
+    export_memo_version_ = version_;
+  }
+  return CodeList(CodeList::Rep(export_memo_));
 }
 
 void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,

@@ -26,10 +26,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/code_list.hpp"
 #include "core/path_code.hpp"
 #include "support/bytes.hpp"
 
@@ -54,8 +57,13 @@ class CodeSet {
   InsertResult insert(PathView code);
 
   /// Inserts every code of a report/table snapshot; returns summed stats and
-  /// whether anything changed.
-  InsertResult insert_all(const std::vector<PathCode>& codes);
+  /// whether anything changed. Equivalent to insert() per code, field for
+  /// field, but each walk resumes below the prefix the code shares with its
+  /// predecessor instead of at the root: a DFS-ordered export (every batch
+  /// the protocol ships) walks each trie node about once. Any order is
+  /// accepted. The skipped levels are still counted in `nodes_walked`, so
+  /// the charged contraction cost stays the paper's root-down walk.
+  InsertResult insert_all(std::span<const PathCode> codes);
 
   /// True when `code` or one of its ancestors is recorded completed.
   [[nodiscard]] bool covered(PathView code) const;
@@ -71,15 +79,10 @@ class CodeSet {
   [[nodiscard]] bool root_complete() const;
 
   /// Contracted list of completed codes, in deterministic DFS order
-  /// (left branch first). This is what a full-table gossip message carries.
-  [[nodiscard]] std::vector<PathCode> export_codes() const;
-
-  /// export_codes() into a caller-owned buffer. Existing elements are
-  /// overwritten in place (copy-assign reuses each element's heap capacity)
-  /// and the vector is resized to the result, so a worker passing the same
-  /// scratch vector every report/gossip cycle reaches a zero-allocation
-  /// steady state even for codes deeper than the inline buffer.
-  void export_into(std::vector<PathCode>& out) const;
+  /// (left branch first), which is lexicographic PathCode order. This is
+  /// what a full-table gossip message carries: the returned list is the
+  /// table's export memo itself, shared, not a copy.
+  [[nodiscard]] CodeList export_codes() const;
 
   /// Maximal regions of the tree *not* covered by this table: for every
   /// incomplete trie node, branches that were never reported under. Each
@@ -89,8 +92,10 @@ class CodeSet {
   [[nodiscard]] std::vector<PathCode> complement() const;
 
   /// complement() into a caller-owned buffer — the recovery path's
-  /// scratch-reusing variant, with the same overwrite-in-place contract as
-  /// export_into().
+  /// scratch-reusing variant. Existing elements are overwritten in place
+  /// (copy-assign reuses each element's heap capacity), so a worker passing
+  /// the same scratch vector every recovery reaches a zero-allocation steady
+  /// state even for codes deeper than the inline buffer.
   void complement_into(std::vector<PathCode>& out) const;
 
   /// Number of codes in the contracted representation.
@@ -137,6 +142,23 @@ class CodeSet {
     return support::varint_size(n.depth) + n.body_bytes;
   }
 
+  /// insert_all's prefix cursor: the trie nodes along the previously
+  /// inserted code (nodes[k] at depth k). Entries up to `valid` are still
+  /// usable: none is freed, and none shallower than `valid` is complete.
+  /// It lives on the caller's stack, never in the CodeSet (a planetary run
+  /// holds 2e5 tables), and has a fixed size: a code deeper than kDepth
+  /// resumes at most kDepth - 1 levels down and walks the rest.
+  struct Cursor {
+    static constexpr std::size_t kDepth = 2 * PathCode::kInlineWords;
+
+    PathView prev;
+    std::size_t valid = 0;
+    std::int32_t nodes[kDepth] = {};  // nodes[0] is the root, node 0
+  };
+
+  /// insert() of one code, resuming from (and then advancing) `cursor`.
+  InsertResult insert_at(PathView code, Cursor& cursor);
+
   /// Length of the covering prefix: covering_code(code) is always
   /// code.prefix(*covering_prefix_len(code)).
   [[nodiscard]] std::optional<std::size_t> covering_prefix_len(
@@ -167,12 +189,13 @@ class CodeSet {
   /// Bumped by every mutation that changes the completed set. The export and
   /// complement enumerations are memoized against it: a table gossiped to k
   /// peers (or complemented repeatedly during recovery) between mutations
-  /// walks the trie once and serves the next k-1 calls from the memo as a
-  /// flat element-wise copy. The memos cost one contracted list each — small
-  /// by design (compactness of the contracted form is the paper's Table 1
-  /// point) — and are lazily built, so tables that never export pay nothing.
+  /// walks the trie once. The export memo is handed out shared (see
+  /// CodeList); the complement memo is copied into the caller's scratch.
+  /// The memos cost one contracted list each — small by design
+  /// (compactness of the contracted form is the paper's Table 1 point) —
+  /// and are lazily built, so tables that never export pay nothing.
   std::uint64_t version_ = 0;
-  mutable std::vector<PathCode> export_memo_;
+  mutable std::shared_ptr<std::vector<PathCode>> export_memo_;
   mutable std::uint64_t export_memo_version_ = ~std::uint64_t{0};
   mutable std::vector<PathCode> complement_memo_;
   mutable std::uint64_t complement_memo_version_ = ~std::uint64_t{0};

@@ -183,12 +183,14 @@ Message read_v1_payload(MsgType type, support::ByteReader& r) {
     case MsgType::kRootReport: {
       const std::uint64_t n = r.varint();
       if (!r.fits_count(n)) break;
-      m.codes.reserve(n);
+      std::vector<PathCode> codes;
+      codes.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         PathCode c = PathCode::decode(r);
         if (!r.ok()) break;
-        m.codes.push_back(std::move(c));
+        codes.push_back(std::move(c));
       }
+      m.codes = CodeList(std::move(codes));
       break;
     }
     case MsgType::kWorkReport:
@@ -199,14 +201,16 @@ Message read_v1_payload(MsgType type, support::ByteReader& r) {
       if (r.ok() && m.report_seq > 0) base = PathCode::decode(r);
       const std::uint64_t n = r.varint();
       if (!r.fits_count(n, 2)) break;  // >= trim + add varints each
-      m.codes.reserve(n);
+      std::vector<PathCode> codes;
+      codes.reserve(n);
       const PathCode* prev = m.report_seq > 0 ? &base : &kEmpty;
       for (std::uint64_t i = 0; i < n; ++i) {
         PathCode c = decode_delta(*prev, r);
         if (!r.ok()) break;
-        m.codes.push_back(std::move(c));
-        prev = &m.codes.back();
+        codes.push_back(std::move(c));
+        prev = &codes.back();
       }
+      m.codes = CodeList(std::move(codes));
       break;
     }
   }

@@ -82,12 +82,14 @@ Message Message::decode(support::ByteReader& r) {
     case MsgType::kRootReport: {
       const std::uint64_t n = r.varint();
       if (!r.fits_count(n)) break;
-      m.codes.reserve(n);
+      std::vector<PathCode> codes;
+      codes.reserve(n);
       for (std::uint64_t i = 0; i < n; ++i) {
         PathCode c = PathCode::decode(r);
         if (!r.ok()) break;
-        m.codes.push_back(std::move(c));
+        codes.push_back(std::move(c));
       }
+      m.codes = CodeList(std::move(codes));
       break;
     }
     default:
@@ -100,9 +102,27 @@ Message Message::decode(support::ByteReader& r) {
 }
 
 std::size_t Message::wire_size() const {
-  support::ByteWriter w = support::ByteWriter::counting();
-  encode(w);
-  return w.size();
+  using support::varint_size;
+  // type byte, sender, incumbent, request id: the header encode() writes.
+  std::size_t n = 1 + varint_size(from) + 8 + varint_size(request_id);
+  switch (type) {
+    case MsgType::kWorkRequest:
+      break;
+    case MsgType::kWorkDeny:
+      n += 1;
+      break;
+    case MsgType::kWorkGrant:
+      n += varint_size(problems.size());
+      for (const bnb::Subproblem& p : problems) n += p.code.encoded_size() + 8;
+      break;
+    case MsgType::kWorkReport:
+    case MsgType::kTableGossip:
+    case MsgType::kRootReport:
+      n += varint_size(codes.size());
+      for (const PathCode& c : codes) n += c.encoded_size();
+      break;
+  }
+  return n;
 }
 
 std::string Message::summary() const {

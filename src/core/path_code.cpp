@@ -28,9 +28,18 @@ PathCode PathCode::decode(support::ByteReader& r) {
 }
 
 std::size_t PathCode::encoded_size() const {
-  std::size_t n = support::varint_size(depth());
-  for (std::size_t i = 0; i < depth(); ++i) n += support::varint_size(word(i));
-  return n;
+  // varint_size of each 32-bit word, as one byte plus one per 7-bit
+  // threshold it reaches: branch-free compares the compiler vectorizes over
+  // the word array (closed-form wire sizing sums this per shipped code).
+  const std::uint32_t* w = words();
+  std::uint32_t extra = 0;
+  for (std::size_t i = 0; i < depth(); ++i) {
+    extra += static_cast<std::uint32_t>(w[i] >= (1u << 7)) +
+             static_cast<std::uint32_t>(w[i] >= (1u << 14)) +
+             static_cast<std::uint32_t>(w[i] >= (1u << 21)) +
+             static_cast<std::uint32_t>(w[i] >= (1u << 28));
+  }
+  return support::varint_size(depth()) + depth() + extra;
 }
 
 std::string PathCode::to_string() const {

@@ -212,10 +212,14 @@ void BnbWorker::prune_pool_covered() {
 
 void BnbWorker::send_report() {
   if (fresh_.empty()) return;
-  std::vector<PathCode>& codes = msg_codes_scratch_;
-  codes.clear();
-  codes.reserve(fresh_.size());
+  Message m;
+  m.type = MsgType::kWorkReport;
+  m.from = id_;
+  m.best_known = incumbent_;
+  m.report_seq = ++report_batches_;
   if (config_.compress_against_table) {
+    std::vector<PathCode> codes;
+    codes.reserve(fresh_.size());
     // Ship the maximal covering code the table knows for each fresh
     // completion; dedup (covering codes form an antichain, so equality is
     // the only possible overlap).
@@ -228,6 +232,7 @@ void BnbWorker::send_report() {
     }
     std::sort(codes.begin(), codes.end());
     codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
+    m.codes = CodeList(std::move(codes));
   } else {
     // Paper-literal scheme: contract the list against itself only (in the
     // per-worker scratch trie; clear() keeps its node storage).
@@ -239,15 +244,8 @@ void BnbWorker::send_report() {
     env_->charge(CostKind::kContraction,
                  config_.costs.contract_per_code * static_cast<double>(fresh_.size()) +
                      config_.costs.contract_per_node * (r.nodes_walked + r.merges));
-    tmp.export_into(codes);
+    m.codes = tmp.export_codes();
   }
-
-  Message m;
-  m.type = MsgType::kWorkReport;
-  m.from = id_;
-  m.best_known = incumbent_;
-  m.codes = std::move(codes);
-  m.report_seq = ++report_batches_;
 
   const std::vector<NodeId>& peers = env_->peers();
   if (!peers.empty()) {
@@ -255,13 +253,11 @@ void BnbWorker::send_report() {
         std::min<std::size_t>(config_.report_fanout, peers.size());
     const std::vector<std::size_t> picks =
         env_->rng().sample_without_replacement(peers.size(), fanout);
+    // Every fanout copy shares the one batch list.
     for (const std::size_t i : picks) env_->send(peers[i], m);
     ++stats_.reports_sent;
     stats_.report_codes_sent += m.codes.size();
   }
-  // Reclaim the batch buffer for the next report (send() copies the
-  // message, so m still owns it here).
-  msg_codes_scratch_ = std::move(m.codes);
   fresh_.clear();
   flush_armed_ = false;
 }
@@ -273,15 +269,13 @@ void BnbWorker::send_table_gossip() {
   m.type = MsgType::kTableGossip;
   m.from = id_;
   m.best_known = incumbent_;
-  table_.export_into(msg_codes_scratch_);
-  m.codes = std::move(msg_codes_scratch_);
+  m.codes = table_.export_codes();  // the table's export memo, shared
   m.report_seq = ++report_batches_;
   note_contraction(0, table_.trie_nodes());
   env_->charge(CostKind::kContraction,
                config_.costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
-  env_->send(peers[env_->rng().pick(peers.size())], m);
+  env_->send(peers[env_->rng().pick(peers.size())], std::move(m));
   ++stats_.table_gossips_sent;
-  msg_codes_scratch_ = std::move(m.codes);  // send() copied; reclaim the buffer
 }
 
 void BnbWorker::arm_flush_timer() {
@@ -301,7 +295,7 @@ bool BnbWorker::maybe_terminate() {
   m.type = MsgType::kRootReport;
   m.from = id_;
   m.best_known = incumbent_;
-  m.codes.push_back(PathCode::root());
+  m.codes = CodeList{PathCode::root()};
   for (const NodeId peer : env_->peers()) env_->send(peer, m);
   env_->set_wait_hint(WaitHint::kHalted);
   env_->notify_halted();

@@ -357,13 +357,11 @@ class BnbWorker {
   bnb::ActivePool pool_;
   CodeSet table_;
   std::vector<PathCode> fresh_;  // locally discovered, unreported completions
-  /// Steady-state scratch, one per worker: report/gossip code batches build
-  /// into msg_codes_scratch_ (reclaimed from the Message after the fanout
-  /// sends), recovery complements into complement_scratch_, and the
-  /// paper-literal report scheme contracts into report_contract_scratch_.
-  /// None of these change any observable behavior — they only keep the
-  /// per-call vector/trie allocations out of the hot loops.
-  std::vector<PathCode> msg_codes_scratch_;
+  /// Steady-state scratch, one per worker: recovery complements into
+  /// complement_scratch_, and the paper-literal report scheme contracts into
+  /// report_contract_scratch_ (whose export memo then is the batch). Neither
+  /// changes any observable behavior — they only keep the per-call
+  /// vector/trie allocations out of the hot loops.
   std::vector<PathCode> complement_scratch_;
   CodeSet report_contract_scratch_;
 

@@ -9,6 +9,7 @@
 // work-report compression observable in bytes, not just in code counts.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -18,6 +19,13 @@
 #include "support/check.hpp"
 
 namespace ftbb::support {
+
+/// Number of bytes varint(v) would occupy: one per started 7-bit group
+/// (v | 1 gives 0 its one byte). Branch-free, so closed-form wire sizing
+/// (Message::wire_size) and table byte accounting are plain arithmetic.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+}
 
 /// Append-only encoder producing a byte vector.
 ///
@@ -43,11 +51,7 @@ class ByteWriter {
   /// Unsigned LEB128 varint, 1..10 bytes.
   void varint(std::uint64_t v) {
     if (counting_) {
-      while (v >= 0x80) {
-        ++count_;
-        v >>= 7;
-      }
-      ++count_;
+      count_ += varint_size(v);
       return;
     }
     while (v >= 0x80) {
@@ -228,16 +232,5 @@ class ByteReader {
   Policy policy_ = Policy::kTrusted;
   bool failed_ = false;
 };
-
-/// Number of bytes varint(v) would occupy; used for size estimation without
-/// materializing a buffer (storage accounting of completion tables).
-constexpr std::size_t varint_size(std::uint64_t v) {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
 
 }  // namespace ftbb::support

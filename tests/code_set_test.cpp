@@ -399,7 +399,7 @@ TEST_P(CodeSetPropertyTest, ComplementUnionExportTilesTreeAndDrivesRootComplete)
   }
   set.check_invariants();
 
-  const std::vector<PathCode> exported = set.export_codes();
+  const CodeList exported = set.export_codes();
   const std::vector<PathCode> complement = set.complement();
 
   // The two lists are disjoint region sets: no code of one lies inside a
@@ -413,7 +413,7 @@ TEST_P(CodeSetPropertyTest, ComplementUnionExportTilesTreeAndDrivesRootComplete)
 
   // Exact tiling: every leaf of the underlying tree lies in exactly one
   // region of export ∪ complement.
-  std::vector<PathCode> regions = exported;
+  std::vector<PathCode> regions = exported.vec();
   regions.insert(regions.end(), complement.begin(), complement.end());
   for (const std::size_t i : leaf_indices) {
     const PathCode& leaf = nodes[i].first;
@@ -442,6 +442,213 @@ TEST_P(CodeSetPropertyTest, ComplementUnionExportTilesTreeAndDrivesRootComplete)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodeSetPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// ---------------------------------------------------------------------------
+// CodeSetDiff: insert_all's prefix cursor against a loop of insert()
+// ---------------------------------------------------------------------------
+
+/// A random tree with its nodes as (code, index) in DFS order, which is
+/// lexicographic code order.
+struct DiffTree {
+  BasicTree tree;
+  std::vector<std::pair<PathCode, std::int32_t>> nodes;
+
+  DiffTree(std::uint64_t seed, std::uint64_t target_nodes, double depth_bias)
+      : tree(make(seed, target_nodes, depth_bias)) {
+    collect_codes(tree, 0, PathCode::root(), nodes);
+  }
+
+  static BasicTree make(std::uint64_t seed, std::uint64_t target_nodes,
+                        double depth_bias) {
+    RandomTreeConfig cfg;
+    cfg.target_nodes = target_nodes;
+    cfg.seed = seed;
+    cfg.depth_bias = depth_bias;
+    return BasicTree::random(cfg);
+  }
+
+  [[nodiscard]] bool is_leaf(std::size_t i) const {
+    return tree.node(static_cast<std::size_t>(nodes[i].second)).is_leaf();
+  }
+
+  /// A table holding a random share of the tree's leaves.
+  [[nodiscard]] CodeSet table(support::Rng& rng, double share) const {
+    CodeSet set;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      if (is_leaf(i) && rng.chance(share)) set.insert(nodes[i].first);
+    }
+    return set;
+  }
+
+  /// Random tree codes (leaves and inner nodes), in DFS order.
+  [[nodiscard]] std::vector<PathCode> sample(support::Rng& rng,
+                                             double share) const {
+    std::vector<PathCode> out;
+    for (const auto& [code, idx] : nodes) {
+      if (rng.chance(share)) out.push_back(code);
+    }
+    return out;
+  }
+};
+
+/// insert_all(batch) on a copy of `table` must equal a loop of insert() on
+/// another copy, field for field.
+void expect_bulk_matches_loop(const CodeSet& table,
+                              const std::vector<PathCode>& batch) {
+  CodeSet bulk = table;
+  CodeSet loop = table;
+  const CodeSet::InsertResult got = bulk.insert_all(batch);
+  CodeSet::InsertResult want;
+  for (const PathCode& c : batch) {
+    const CodeSet::InsertResult r = loop.insert(c);
+    want.newly_covered = want.newly_covered || r.newly_covered;
+    want.nodes_walked += r.nodes_walked;
+    want.merges += r.merges;
+  }
+  EXPECT_EQ(got.nodes_walked, want.nodes_walked);
+  EXPECT_EQ(got.merges, want.merges);
+  EXPECT_EQ(got.newly_covered, want.newly_covered);
+  EXPECT_EQ(bulk.export_codes(), loop.export_codes());
+  EXPECT_EQ(bulk.encoded_bytes(), loop.encoded_bytes());
+  EXPECT_EQ(bulk.trie_nodes(), loop.trie_nodes());
+  EXPECT_EQ(bulk.root_complete(), loop.root_complete());
+  bulk.check_invariants();
+  loop.check_invariants();
+}
+
+class CodeSetDiff : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodeSetDiff, SortedPeerExportIntoPartialTable) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 100, 401, 0.6);
+  support::Rng rng(seed * 7 + 1);
+  const CodeSet peer = t.table(rng, 0.5);
+  expect_bulk_matches_loop(t.table(rng, 0.5), peer.export_codes().vec());
+  expect_bulk_matches_loop(CodeSet{}, peer.export_codes().vec());
+  expect_bulk_matches_loop(peer, peer.export_codes().vec());
+}
+
+TEST_P(CodeSetDiff, SortedMixOfInnerNodesAndLeaves) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 200, 301, 0.6);
+  support::Rng rng(seed * 7 + 2);
+  for (int round = 0; round < 5; ++round) {
+    expect_bulk_matches_loop(t.table(rng, 0.3), t.sample(rng, 0.2));
+  }
+}
+
+TEST_P(CodeSetDiff, ShuffledBatches) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 300, 301, 0.6);
+  support::Rng rng(seed * 7 + 3);
+  for (int round = 0; round < 5; ++round) {
+    std::vector<PathCode> batch = t.sample(rng, 0.3);
+    std::shuffle(batch.begin(), batch.end(), rng);
+    expect_bulk_matches_loop(t.table(rng, 0.3), batch);
+  }
+}
+
+TEST_P(CodeSetDiff, DuplicatesAdjacentAndApart) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 400, 201, 0.6);
+  support::Rng rng(seed * 7 + 4);
+  std::vector<PathCode> batch = t.sample(rng, 0.2);
+  const std::size_t n = batch.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rng.chance(0.3)) batch.push_back(batch[i]);
+  }
+  std::vector<PathCode> adjacent;
+  for (const PathCode& c : batch) {
+    adjacent.push_back(c);
+    if (rng.chance(0.5)) adjacent.push_back(c);
+  }
+  expect_bulk_matches_loop(t.table(rng, 0.2), batch);
+  expect_bulk_matches_loop(t.table(rng, 0.2), adjacent);
+}
+
+TEST_P(CodeSetDiff, AncestorAfterItsDescendants) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 500, 301, 0.6);
+  support::Rng rng(seed * 7 + 5);
+  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+    if (t.is_leaf(i) || !rng.chance(0.2)) continue;
+    const PathCode& ancestor = t.nodes[i].first;
+    std::vector<PathCode> batch;
+    for (const auto& [code, idx] : t.nodes) {
+      if (ancestor.is_ancestor_of(code) && rng.chance(0.4)) batch.push_back(code);
+    }
+    batch.push_back(ancestor);
+    expect_bulk_matches_loop(t.table(rng, 0.1), batch);
+  }
+}
+
+TEST_P(CodeSetDiff, DescendantAfterMidBatchMergeCompletedItsAncestor) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 600, 301, 0.6);
+  support::Rng rng(seed * 7 + 6);
+  // Both children of an inner node in one batch merge into the parent; a
+  // later code below either child must then stop at the merged ancestor,
+  // not resume on freed trie nodes.
+  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+    if (t.is_leaf(i)) continue;
+    const PathCode& parent = t.nodes[i].first;
+    const auto& node = t.tree.node(static_cast<std::size_t>(t.nodes[i].second));
+    std::vector<PathCode> batch{parent.child(node.var, false),
+                                parent.child(node.var, true)};
+    for (const auto& [code, idx] : t.nodes) {
+      if (parent.is_ancestor_of(code) && code.depth() > parent.depth() + 1 &&
+          rng.chance(0.5)) {
+        batch.push_back(code);
+      }
+    }
+    expect_bulk_matches_loop(t.table(rng, 0.3), batch);
+  }
+}
+
+TEST_P(CodeSetDiff, CodesDeeperThanTheInlineBuffer) {
+  const std::uint64_t seed = GetParam();
+  // A depth-biased tree reaches far past the 32 inline words (and past the
+  // cursor's fixed depth).
+  const DiffTree t(seed + 700, 401, 0.97);
+  std::size_t max_depth = 0;
+  for (const auto& [code, idx] : t.nodes) max_depth = std::max(max_depth, code.depth());
+  ASSERT_GT(max_depth, 2 * std::size_t{PathCode::kInlineWords});
+  support::Rng rng(seed * 7 + 7);
+  const CodeSet peer = t.table(rng, 0.5);
+  expect_bulk_matches_loop(t.table(rng, 0.5), peer.export_codes().vec());
+  std::vector<PathCode> batch = t.sample(rng, 0.3);
+  expect_bulk_matches_loop(t.table(rng, 0.3), batch);
+  std::shuffle(batch.begin(), batch.end(), rng);
+  expect_bulk_matches_loop(t.table(rng, 0.3), batch);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodeSetDiff,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(CodeSetDiffMemo, ExportIsSharedAndNeverRewrittenUnderAReader) {
+  CodeSet set;
+  set.insert(path({{1, false}}));
+  const CodeList first = set.export_codes();
+  EXPECT_EQ(&first.vec(), &set.export_codes().vec());  // unchanged: shared
+  set.insert(path({{1, true}, {2, false}}));
+  const CodeList second = set.export_codes();
+  // `first` is still held, so the rebuild went to a fresh list.
+  ASSERT_EQ(first.size(), 1u);
+  EXPECT_EQ(first[0], path({{1, false}}));
+  EXPECT_EQ(second.size(), 2u);
+}
+
+TEST(CodeSetDiffDeathTest, MismatchBelowSharedPrefixAborts) {
+  CodeSet set;
+  set.insert(path({{1, false}, {2, false}, {3, true}, {4, false}}));
+  // The second code shares two steps with the first, so its walk resumes
+  // at depth 2; the node at depth 3 learned variable 4, not 9.
+  const std::vector<PathCode> batch{
+      path({{1, false}, {2, false}, {3, false}, {7, false}}),
+      path({{1, false}, {2, false}, {3, true}, {9, true}})};
+  ASSERT_DEATH(set.insert_all(batch),
+               "disagree on a node's branching variable");
+}
 
 }  // namespace
 }  // namespace ftbb::core

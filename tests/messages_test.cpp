@@ -63,8 +63,8 @@ TEST(Messages, WorkReportCarriesCodes) {
   m.type = MsgType::kWorkReport;
   m.from = 1;
   m.best_known = 2.5;
-  m.codes.push_back(PathCode::root().child(2, true));
-  m.codes.push_back(PathCode::root().child(2, false).child(3, true));
+  m.codes = {PathCode::root().child(2, true),
+             PathCode::root().child(2, false).child(3, true)};
   const Message out = round_trip(m);
   ASSERT_EQ(out.codes.size(), 2u);
   EXPECT_EQ(out.codes[0], m.codes[0]);
@@ -74,7 +74,7 @@ TEST(Messages, WorkReportCarriesCodes) {
 TEST(Messages, RootReportIsTheRootCode) {
   Message m;
   m.type = MsgType::kRootReport;
-  m.codes.push_back(PathCode::root());
+  m.codes = {PathCode::root()};
   const Message out = round_trip(m);
   ASSERT_EQ(out.codes.size(), 1u);
   EXPECT_TRUE(out.codes[0].is_root());
@@ -83,20 +83,24 @@ TEST(Messages, RootReportIsTheRootCode) {
 TEST(Messages, TableGossipRoundTrip) {
   Message m;
   m.type = MsgType::kTableGossip;
+  std::vector<PathCode> codes;
   for (std::uint32_t i = 0; i < 50; ++i) {
-    m.codes.push_back(PathCode::root().child(i, i % 2 == 0));
+    codes.push_back(PathCode::root().child(i, i % 2 == 0));
   }
+  m.codes = CodeList(std::move(codes));
   EXPECT_EQ(round_trip(m).codes.size(), 50u);
 }
 
 TEST(Messages, WireSizeGrowsWithPayload) {
   Message small;
   small.type = MsgType::kWorkReport;
-  small.codes.push_back(PathCode::root().child(1, false));
+  std::vector<PathCode> codes{PathCode::root().child(1, false)};
+  small.codes = CodeList(codes);
   Message large = small;
   for (std::uint32_t i = 0; i < 20; ++i) {
-    large.codes.push_back(PathCode::root().child(1, true).child(i + 2, false));
+    codes.push_back(PathCode::root().child(1, true).child(i + 2, false));
   }
+  large.codes = CodeList(std::move(codes));
   EXPECT_GT(large.wire_size(), small.wire_size());
 }
 
@@ -154,11 +158,14 @@ Message random_message(support::Rng& rng) {
     case MsgType::kTableGossip:
       m.report_seq = 1 + rng.pick(100);
       [[fallthrough]];
-    case MsgType::kRootReport:
+    case MsgType::kRootReport: {
+      std::vector<PathCode> codes;
       for (std::size_t i = 0, n = rng.pick(10); i < n; ++i) {
-        m.codes.push_back(random_code(rng));
+        codes.push_back(random_code(rng));
       }
+      m.codes = CodeList(std::move(codes));
       break;
+    }
   }
   return m;
 }
@@ -230,6 +237,47 @@ TEST(Frames, CountingSizeMatchesEncodedSize) {
   }
 }
 
+/// A code up to 80 steps deep (past the 32 inline words), with variables
+/// drawn so step words need 1, 2 (var >= 64), 3 (var >= 8192) or 5 bytes.
+PathCode wide_code(support::Rng& rng) {
+  static constexpr std::uint32_t kVarCaps[] = {64, 8192, 1u << 20,
+                                               PathCode::kMaxVar};
+  PathCode c = PathCode::root();
+  const std::size_t depth = rng.pick(81);
+  for (std::size_t i = 0; i < depth; ++i) {
+    const std::uint32_t cap = kVarCaps[rng.pick(4)];
+    c.push_step(static_cast<std::uint32_t>(rng.pick(cap)), rng.chance(0.5));
+  }
+  return c;
+}
+
+TEST(Messages, WireSizeMatchesEncodeForRandomMessages) {
+  support::Rng rng(20261017);
+  const FrameCodec legacy(FrameVersion::kLegacy);
+  for (int trial = 0; trial < 600; ++trial) {
+    Message m;
+    m.type = static_cast<MsgType>(1 + trial % 6);  // all six, evenly
+    m.from = static_cast<NodeId>(rng.next() >> rng.pick(64));
+    m.request_id = rng.next() >> rng.pick(64);
+    m.busy = rng.chance(0.5);
+    std::vector<PathCode> codes;
+    for (std::size_t i = 0, n = rng.pick(12); i < n; ++i) {
+      if (m.type == MsgType::kWorkGrant) {
+        m.problems.push_back(bnb::Subproblem{wide_code(rng), rng.uniform()});
+      } else {
+        codes.push_back(wide_code(rng));
+      }
+    }
+    // Only report types ship codes; a stray list elsewhere is not encoded
+    // and must not be counted either.
+    m.codes = CodeList(std::move(codes));
+    support::ByteWriter w;
+    m.encode(w);
+    EXPECT_EQ(m.wire_size(), w.size()) << to_string(m.type);
+    EXPECT_EQ(m.wire_size(), legacy.frame_size(m, nullptr)) << to_string(m.type);
+  }
+}
+
 TEST(Frames, DeltaChainDecodesStandaloneAcrossBatches) {
   // One sender incarnation emitting a stream of report batches: every frame
   // must decode in isolation (receivers are random fanout peers and any
@@ -243,9 +291,11 @@ TEST(Frames, DeltaChainDecodesStandaloneAcrossBatches) {
     m.from = 3;
     m.best_known = 10.0;
     m.report_seq = batch;
+    std::vector<PathCode> codes;
     for (std::size_t i = 0, n = rng.pick(8); i < n; ++i) {
-      m.codes.push_back(random_code(rng));
+      codes.push_back(random_code(rng));
     }
+    m.codes = CodeList(std::move(codes));
     // The worker fans the same batch out to several peers: every copy must
     // encode identically (the state advances once per report_seq).
     const auto first = encode_frame(v1, m, &state);

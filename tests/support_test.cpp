@@ -158,6 +158,26 @@ TEST(Bytes, StringRoundTrip) {
   EXPECT_EQ(r.str(), std::string(1000, 'x'));
 }
 
+TEST(Bytes, VarintSizeAtGroupBoundaries) {
+  static_assert(varint_size(0) == 1);  // usable in constant expressions
+  EXPECT_EQ(varint_size(0), 1u);
+  EXPECT_EQ(varint_size(127), 1u);
+  EXPECT_EQ(varint_size(128), 2u);
+  EXPECT_EQ(varint_size(16383), 2u);
+  EXPECT_EQ(varint_size(16384), 3u);
+  EXPECT_EQ(varint_size(0xffffffffULL), 5u);
+  EXPECT_EQ(varint_size(UINT64_MAX), 10u);
+  for (const std::uint64_t v :
+       {0ULL, 127ULL, 128ULL, 16383ULL, 16384ULL, 0xffffffffULL, ~0ULL}) {
+    ByteWriter w;
+    w.varint(v);
+    ByteWriter counted = ByteWriter::counting();
+    counted.varint(v);
+    EXPECT_EQ(varint_size(v), w.size()) << v;
+    EXPECT_EQ(counted.size(), w.size()) << v;
+  }
+}
+
 TEST(Bytes, VarintSizeMatchesEncoding) {
   for (const std::uint64_t v : {0ULL, 127ULL, 128ULL, 16383ULL, 16384ULL, ~0ULL}) {
     ByteWriter w;
