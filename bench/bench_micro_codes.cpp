@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < codes; ++i) {
       batch.push_back(leaves[static_cast<std::size_t>(i) % leaves.size()]);
     }
-    msg.codes = core::CodeList(std::move(batch));
+    msg.codes = core::CodeList(batch);
     bench("work_report_encode_decode_" + std::to_string(codes) + "codes", 1.0,
           [&] {
             support::ByteWriter w;

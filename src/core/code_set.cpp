@@ -113,22 +113,19 @@ void CodeSet::mark_complete(std::int32_t idx, InsertResult& res) {
 
 CodeSet::InsertResult CodeSet::insert(PathView code) {
   Cursor cursor;
-  return insert_at(code, cursor);
+  return insert_at(code, 0, cursor);
 }
 
-CodeSet::InsertResult CodeSet::insert_at(PathView code, Cursor& cursor) {
+CodeSet::InsertResult CodeSet::insert_at(PathView code, std::size_t lcp,
+                                         Cursor& cursor) {
   InsertResult res;
   // Resume below the prefix shared with the previous code. Its trie nodes
   // down to depth `valid` are on the cursor; the previous walk passed every
   // one shallower than `valid` without finding it complete and checked its
-  // branching variable against the same step word this code has, so a
-  // root-down walk would repeat exactly that. Charge invariance: the
-  // skipped levels still count as walked.
-  const std::size_t limit =
-      std::min({cursor.valid, cursor.prev.depth(), code.depth()});
-  std::size_t i = 0;
-  while (i < limit && cursor.prev.word(i) == code.word(i)) ++i;
-  cursor.prev = code;
+  // branching variable against the same step word this code has (`lcp` is
+  // exact), so a root-down walk would repeat exactly that. Charge
+  // invariance: the skipped levels still count as walked.
+  std::size_t i = std::min(lcp, cursor.valid);
   res.nodes_walked = static_cast<std::uint32_t>(i);
   std::int32_t cur = cursor.nodes[i];
   for (; i < code.depth(); ++i) {
@@ -179,14 +176,32 @@ CodeSet::InsertResult CodeSet::insert_at(PathView code, Cursor& cursor) {
   return res;
 }
 
+namespace {
+
+void add_to(CodeSet::InsertResult& total, const CodeSet::InsertResult& r) {
+  total.newly_covered = total.newly_covered || r.newly_covered;
+  total.nodes_walked += r.nodes_walked;
+  total.merges += r.merges;
+}
+
+}  // namespace
+
+CodeSet::InsertResult CodeSet::insert_all(const CodeList& codes) {
+  Cursor cursor;
+  InsertResult total;
+  for (CodeList::Iterator it = codes.begin(); it != codes.end(); ++it) {
+    add_to(total, insert_at(*it, it.keep(), cursor));
+  }
+  return total;
+}
+
 CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
   Cursor cursor;
   InsertResult total;
+  PathView prev;
   for (const PathCode& c : codes) {
-    const InsertResult r = insert_at(c, cursor);
-    total.newly_covered = total.newly_covered || r.newly_covered;
-    total.nodes_walked += r.nodes_walked;
-    total.merges += r.merges;
+    add_to(total, insert_at(c, common_prefix_len(prev, c), cursor));
+    prev = c;
   }
   return total;
 }
@@ -244,20 +259,25 @@ void CodeSet::copy_codes(const std::vector<PathCode>& src,
   out.resize(src.size());
 }
 
-void CodeSet::export_dfs(std::int32_t idx, PathCode& path,
-                         std::vector<PathCode>& out, std::size_t& n) const {
+void CodeSet::export_dfs(std::int32_t idx, std::vector<std::uint32_t>& path,
+                         std::size_t& keep, CodeList::Rep& out) const {
   const Node& node = nodes_[static_cast<std::size_t>(idx)];
   if (node.complete) {
-    emit(path, out, n);
+    // `keep` is the shallowest depth since the previous code: the walk
+    // climbed to that node from the previous code's branch and came down
+    // the other one, so it is their exact common prefix.
+    out.append(PathView(path.data(), path.size()), keep);
+    keep = path.size();
     return;
   }
   for (std::uint32_t bit = 0; bit < 2; ++bit) {
     const std::int32_t c = node.child[bit];
     if (c < 0) continue;
-    // Unchecked push: node.var was validated when the trie learned it.
-    path.push_word((node.var << 1) | bit);
-    export_dfs(c, path, out, n);
-    path.pop_step();
+    // node.var was validated when the trie learned it.
+    path.push_back((node.var << 1) | bit);
+    export_dfs(c, path, keep, out);
+    path.pop_back();
+    keep = std::min(keep, path.size());
   }
 }
 
@@ -268,26 +288,40 @@ namespace {
 /// relaxed load; taking a reference first is an acquire RMW on the count,
 /// which orders the reads of whichever simulator shard dropped the last
 /// other copy before the rewrite that follows.
-bool sole_owner(const std::shared_ptr<std::vector<PathCode>>& memo) {
-  const std::shared_ptr<std::vector<PathCode>> probe = memo;
+bool sole_owner(const std::shared_ptr<CodeList::Rep>& memo) {
+  const std::shared_ptr<CodeList::Rep> probe = memo;
   return probe.use_count() == 2;
 }
 
 }  // namespace
 
 CodeList CodeSet::export_codes() const {
+  if (complete_count_ == 0) return {};
   if (export_memo_ == nullptr || export_memo_version_ != version_) {
     if (export_memo_ == nullptr || !sole_owner(export_memo_)) {
-      export_memo_ = std::make_shared<std::vector<PathCode>>();
+      export_memo_ = std::make_shared<CodeList::Rep>();
     }
-    export_memo_->reserve(complete_count_);
-    std::size_t n = 0;
-    PathCode path;
-    export_dfs(0, path, *export_memo_, n);
-    export_memo_->resize(n);
+    CodeList::Rep& memo = *export_memo_;
+    memo.clear();
+    // Each trie edge is descended once, so the own words are fewer than the
+    // live nodes; so is the last code, written in full.
+    memo.reserve(2 * complete_count_ + 2 * live_nodes_);
+    std::vector<std::uint32_t> path;
+    path.reserve(Cursor::kDepth);
+    std::size_t keep = 0;
+    export_dfs(0, path, keep, memo);
+    // The last code in DFS order is the rightmost path down to a leaf.
+    std::int32_t cur = 0;
+    while (!nodes_[static_cast<std::size_t>(cur)].complete) {
+      const Node& n = nodes_[static_cast<std::size_t>(cur)];
+      const std::uint32_t bit = n.child[1] >= 0 ? 1 : 0;
+      path.push_back((n.var << 1) | bit);
+      cur = n.child[bit];
+    }
+    memo.seal(PathView(path.data(), path.size()), body_bytes_);
     export_memo_version_ = version_;
   }
-  return CodeList(CodeList::Rep(export_memo_));
+  return CodeList(std::shared_ptr<const CodeList::Rep>(export_memo_));
 }
 
 void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
@@ -378,10 +412,10 @@ void CodeSet::check_invariants() const {
 std::string CodeSet::to_string() const {
   std::string s = "{";
   bool first = true;
-  for (const PathCode& c : export_codes()) {
+  for (const PathView c : export_codes()) {
     if (!first) s += ", ";
     first = false;
-    s += c.to_string();
+    s += PathCode(c).to_string();
   }
   s += "}";
   return s;

@@ -62,7 +62,11 @@ class CodeSet {
   /// predecessor instead of at the root: a DFS-ordered export (every batch
   /// the protocol ships) walks each trie node about once. Any order is
   /// accepted. The skipped levels are still counted in `nodes_walked`, so
-  /// the charged contraction cost stays the paper's root-down walk.
+  /// the charged contraction cost stays the paper's root-down walk. A
+  /// CodeList carries each shared prefix length (its keep), so nothing is
+  /// compared; the span overload (the report scratch trie) compares each
+  /// code with its predecessor.
+  InsertResult insert_all(const CodeList& codes);
   InsertResult insert_all(std::span<const PathCode> codes);
 
   /// True when `code` or one of its ancestors is recorded completed.
@@ -81,7 +85,10 @@ class CodeSet {
   /// Contracted list of completed codes, in deterministic DFS order
   /// (left branch first), which is lexicographic PathCode order. This is
   /// what a full-table gossip message carries: the returned list is the
-  /// table's export memo itself, shared, not a copy.
+  /// table's export memo itself, shared, not a copy. The DFS writes it
+  /// front-coded directly: each code's keep is the shallowest depth the
+  /// walk climbed back to since the previous code, and the byte total is
+  /// the maintained encoded_bytes().
   [[nodiscard]] CodeList export_codes() const;
 
   /// Maximal regions of the tree *not* covered by this table: for every
@@ -151,13 +158,13 @@ class CodeSet {
   struct Cursor {
     static constexpr std::size_t kDepth = 2 * PathCode::kInlineWords;
 
-    PathView prev;
     std::size_t valid = 0;
     std::int32_t nodes[kDepth] = {};  // nodes[0] is the root, node 0
   };
 
-  /// insert() of one code, resuming from (and then advancing) `cursor`.
-  InsertResult insert_at(PathView code, Cursor& cursor);
+  /// insert() of one code that shares exactly `lcp` leading words with the
+  /// previously inserted one, resuming from (and then advancing) `cursor`.
+  InsertResult insert_at(PathView code, std::size_t lcp, Cursor& cursor);
 
   /// Length of the covering prefix: covering_code(code) is always
   /// code.prefix(*covering_prefix_len(code)).
@@ -176,8 +183,8 @@ class CodeSet {
   /// Element-wise copy with the same capacity-recycling contract as emit().
   static void copy_codes(const std::vector<PathCode>& src,
                          std::vector<PathCode>& out);
-  void export_dfs(std::int32_t idx, PathCode& path,
-                  std::vector<PathCode>& out, std::size_t& n) const;
+  void export_dfs(std::int32_t idx, std::vector<std::uint32_t>& path,
+                  std::size_t& keep, CodeList::Rep& out) const;
   void complement_dfs(std::int32_t idx, PathCode& path,
                       std::vector<PathCode>& out, std::size_t& n) const;
 
@@ -195,7 +202,7 @@ class CodeSet {
   /// (compactness of the contracted form is the paper's Table 1 point) —
   /// and are lazily built, so tables that never export pay nothing.
   std::uint64_t version_ = 0;
-  mutable std::shared_ptr<std::vector<PathCode>> export_memo_;
+  mutable std::shared_ptr<CodeList::Rep> export_memo_;
   mutable std::uint64_t export_memo_version_ = ~std::uint64_t{0};
   mutable std::vector<PathCode> complement_memo_;
   mutable std::uint64_t complement_memo_version_ = ~std::uint64_t{0};

@@ -1,7 +1,5 @@
 #include "core/frame.hpp"
 
-#include <algorithm>
-
 namespace ftbb::core {
 
 const char* to_string(FrameVersion version) {
@@ -46,10 +44,11 @@ namespace {
 }
 
 /// Resolved delta decisions for one report frame: the wire sequence and the
-/// chain base (nullptr when the chain starts at the empty root code).
+/// chain base (shipped in the frame from sequence 1 on).
 struct ReportPlan {
   std::uint64_t seq = 0;
-  const PathCode* base = nullptr;
+  bool has_base = false;
+  PathView base;  // the empty root code when no earlier batch had codes
 };
 
 /// Advances the sender's delta state to the batch `msg` belongs to.
@@ -64,27 +63,25 @@ ReportPlan plan_report(const Message& msg, ReportDeltaState* state) {
     state->seq = 0;
   } else if (msg.report_seq != state->batch_id) {
     state->batch_id = msg.report_seq;
-    state->prev_last = state->cur_last;
+    state->prev = state->cur;
     ++state->seq;
   }
-  if (!msg.codes.empty()) state->cur_last = msg.codes.back();
+  if (!msg.codes.empty()) state->cur = msg.codes;
   ReportPlan plan;
   plan.seq = state->seq;
-  if (state->seq > 0) plan.base = &state->prev_last;
+  plan.has_base = state->seq > 0;
+  if (!state->prev.empty()) plan.base = state->prev.back();
   return plan;
 }
 
-/// One code as (trim, add, steps...) against the previous code in the chain.
-/// Straight off the packed words: the per-step wire varint IS the stored
-/// word, and the shared prefix is a word comparison.
-void encode_delta(const PathCode& prev, const PathCode& code,
+/// One code as (trim, add, steps...) against the previous code in the
+/// chain, of depth `prev_depth`, with which it shares exactly `keep` words.
+/// The per-step wire varint IS the stored word.
+void encode_delta(std::size_t prev_depth, PathView code, std::size_t keep,
                   support::ByteWriter& w) {
-  std::size_t lcp = 0;
-  const std::size_t cap = std::min(prev.depth(), code.depth());
-  while (lcp < cap && prev.word(lcp) == code.word(lcp)) ++lcp;
-  w.varint(prev.depth() - lcp);  // decisions to trim off the previous code
-  w.varint(code.depth() - lcp);  // decisions appended after the shared prefix
-  for (std::size_t i = lcp; i < code.depth(); ++i) w.varint(code.word(i));
+  w.varint(prev_depth - keep);    // decisions to trim off the previous code
+  w.varint(code.depth() - keep);  // decisions appended after the shared prefix
+  for (std::size_t i = keep; i < code.depth(); ++i) w.varint(code.word(i));
 }
 
 PathCode decode_delta(const PathCode& prev, support::ByteReader& r) {
@@ -135,19 +132,24 @@ void write_v1_payload(const Message& msg, const ReportPlan& plan,
       break;
     case MsgType::kRootReport:
       // Termination broadcast: one (root) code, flat — never delta-coded.
-      w.varint(msg.codes.size());
-      for (const PathCode& c : msg.codes) c.encode(w);
+      msg.codes.encode(w);
       break;
     case MsgType::kWorkReport:
     case MsgType::kTableGossip: {
-      static const PathCode kEmpty;
       w.varint(plan.seq);
-      if (plan.base != nullptr) plan.base->encode(w);
+      if (plan.has_base) plan.base.encode(w);
       w.varint(msg.codes.size());
-      const PathCode* prev = plan.base != nullptr ? plan.base : &kEmpty;
-      for (const PathCode& c : msg.codes) {
-        encode_delta(*prev, c, w);
-        prev = &c;
+      // Only the first code is compared (against the base); every later
+      // one carries its shared prefix with its predecessor as its keep.
+      std::size_t prev_depth = plan.base.depth();
+      bool first = true;
+      for (CodeList::Iterator it = msg.codes.begin(); it != msg.codes.end();
+           ++it) {
+        const PathView c = *it;
+        encode_delta(prev_depth, c,
+                     first ? common_prefix_len(plan.base, c) : it.keep(), w);
+        first = false;
+        prev_depth = c.depth();
       }
       break;
     }
@@ -180,37 +182,27 @@ Message read_v1_payload(MsgType type, support::ByteReader& r) {
       }
       break;
     }
-    case MsgType::kRootReport: {
-      const std::uint64_t n = r.varint();
-      if (!r.fits_count(n)) break;
-      std::vector<PathCode> codes;
-      codes.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        PathCode c = PathCode::decode(r);
-        if (!r.ok()) break;
-        codes.push_back(std::move(c));
-      }
-      m.codes = CodeList(std::move(codes));
+    case MsgType::kRootReport:
+      m.codes = CodeList::decode(r);
       break;
-    }
     case MsgType::kWorkReport:
     case MsgType::kTableGossip: {
-      static const PathCode kEmpty;
       m.report_seq = r.varint();
       PathCode base;
       if (r.ok() && m.report_seq > 0) base = PathCode::decode(r);
       const std::uint64_t n = r.varint();
-      if (!r.fits_count(n, 2)) break;  // >= trim + add varints each
-      std::vector<PathCode> codes;
-      codes.reserve(n);
-      const PathCode* prev = m.report_seq > 0 ? &base : &kEmpty;
+      if (!r.fits_count(n, 2) || n == 0) break;  // >= trim + add varints each
+      // Own words come from `add` runs (a byte each at least); the last
+      // code is at most the base plus every run.
+      CodeList::Builder codes(2 * n + 2 * r.remaining() + base.depth());
+      const PathCode* prev = &base;
       for (std::uint64_t i = 0; i < n; ++i) {
         PathCode c = decode_delta(*prev, r);
         if (!r.ok()) break;
-        codes.push_back(std::move(c));
-        prev = &codes.back();
+        codes.push(std::move(c));
+        prev = &codes.last();
       }
-      m.codes = CodeList(std::move(codes));
+      m.codes = std::move(codes).finish();
       break;
     }
   }

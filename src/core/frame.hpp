@@ -76,13 +76,15 @@ enum class DecodeStatus : std::uint8_t {
 /// Per-sender (per-incarnation) delta memory for report frames. The codec
 /// advances it once per Message::report_seq value, so the m fanout copies
 /// of one batch encode identically; frame_size() and encode() advance it
-/// through the same path and are idempotent for a repeated batch.
+/// through the same path and are idempotent for a repeated batch. It holds
+/// the batches themselves (shared, never copied); an empty batch does not
+/// replace `cur`.
 struct ReportDeltaState {
   bool active = false;        // a report batch has been encoded this incarnation
   std::uint64_t seq = 0;      // wire sequence of the current batch (0-based)
   std::uint64_t batch_id = 0; // Message::report_seq of the current batch
-  PathCode prev_last;         // delta base: last code of the previous batch
-  PathCode cur_last;          // last code of the current batch
+  CodeList prev;  // delta base: prev.back(), or the root code when empty
+  CodeList cur;   // the last non-empty batch so far
 
   void reset() { *this = ReportDeltaState{}; }
 };

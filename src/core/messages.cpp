@@ -43,8 +43,7 @@ void Message::encode(support::ByteWriter& w) const {
     case MsgType::kWorkReport:
     case MsgType::kTableGossip:
     case MsgType::kRootReport:
-      w.varint(codes.size());
-      for (const PathCode& c : codes) c.encode(w);
+      codes.encode(w);
       break;
   }
 }
@@ -79,19 +78,9 @@ Message Message::decode(support::ByteReader& r) {
     }
     case MsgType::kWorkReport:
     case MsgType::kTableGossip:
-    case MsgType::kRootReport: {
-      const std::uint64_t n = r.varint();
-      if (!r.fits_count(n)) break;
-      std::vector<PathCode> codes;
-      codes.reserve(n);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        PathCode c = PathCode::decode(r);
-        if (!r.ok()) break;
-        codes.push_back(std::move(c));
-      }
-      m.codes = CodeList(std::move(codes));
+    case MsgType::kRootReport:
+      m.codes = CodeList::decode(r);
       break;
-    }
     default:
       // Recoverable with a tolerant reader (the transport drops the frame);
       // still an abort on the trusted in-simulator path.
@@ -118,8 +107,7 @@ std::size_t Message::wire_size() const {
     case MsgType::kWorkReport:
     case MsgType::kTableGossip:
     case MsgType::kRootReport:
-      n += varint_size(codes.size());
-      for (const PathCode& c : codes) n += c.encoded_size();
+      n += codes.encoded_size();
       break;
   }
   return n;

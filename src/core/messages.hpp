@@ -68,7 +68,7 @@ struct Message {
   /// Exact legacy-encoded size in bytes — the L of the paper's
   /// 1.5 + 0.005*L ms latency model under the kLegacy frame version.
   /// Closed form: the fixed header plus each element's encoded size, with
-  /// no encode pass.
+  /// no encode pass; a code list contributes its cached total, O(1).
   [[nodiscard]] std::size_t wire_size() const;
 
   [[nodiscard]] std::string summary() const;

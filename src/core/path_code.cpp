@@ -2,7 +2,7 @@
 
 namespace ftbb::core {
 
-void PathCode::encode(support::ByteWriter& w) const {
+void PathView::encode(support::ByteWriter& w) const {
   w.varint(depth());
   for (std::size_t i = 0; i < depth(); ++i) w.varint(word(i));
 }
@@ -27,10 +27,10 @@ PathCode PathCode::decode(support::ByteReader& r) {
   return out;
 }
 
-std::size_t PathCode::encoded_size() const {
+std::size_t PathView::encoded_size() const {
   // varint_size of each 32-bit word, as one byte plus one per 7-bit
   // threshold it reaches: branch-free compares the compiler vectorizes over
-  // the word array (closed-form wire sizing sums this per shipped code).
+  // the word array (a CodeList built from codes sums this once per code).
   const std::uint32_t* w = words();
   std::uint32_t extra = 0;
   for (std::size_t i = 0; i < depth(); ++i) {

@@ -120,6 +120,11 @@ class PathView {
            std::memcmp(a.words_, b.words_, a.size_ * sizeof(std::uint32_t)) == 0;
   }
 
+  /// Wire encoding, as PathCode::encode (varint depth, varint per word).
+  void encode(support::ByteWriter& w) const;
+  /// Exact number of bytes encode() will produce.
+  [[nodiscard]] std::size_t encoded_size() const;
+
   /// Lexicographic over (var, bit) pairs, root first — identical verdicts to
   /// the historical vector<Branch> comparison, because packed words compare
   /// like their (var, bit) pairs.
@@ -135,6 +140,15 @@ class PathView {
   const std::uint32_t* words_ = nullptr;
   std::size_t size_ = 0;
 };
+
+/// Number of leading decisions `a` and `b` share (their longest common
+/// prefix).
+[[nodiscard]] inline std::size_t common_prefix_len(PathView a, PathView b) {
+  const std::size_t n = a.depth() < b.depth() ? a.depth() : b.depth();
+  std::size_t i = 0;
+  while (i < n && a.word(i) == b.word(i)) ++i;
+  return i;
+}
 
 /// Immutable-ish sequence of branching decisions from the root.
 ///
@@ -326,13 +340,15 @@ class PathCode {
   /// exactly the packed words. Variable indices are small in practice, so
   /// codes cost ~1 byte per level — this is the unit in which work-report
   /// compression pays off.
-  void encode(support::ByteWriter& w) const;
+  void encode(support::ByteWriter& w) const { view().encode(w); }
   /// Decoding a tolerant reader surfaces malformed input through r.ok()
   /// (returning the root code); a trusted reader aborts, as before.
   static PathCode decode(support::ByteReader& r);
 
   /// Exact number of bytes encode() will produce.
-  [[nodiscard]] std::size_t encoded_size() const;
+  [[nodiscard]] std::size_t encoded_size() const {
+    return view().encoded_size();
+  }
 
   /// Paper notation, e.g. "(<x1,0>,<x2,1>)"; "()" for the root.
   [[nodiscard]] std::string to_string() const;

@@ -218,21 +218,30 @@ void BnbWorker::send_report() {
   m.best_known = incumbent_;
   m.report_seq = ++report_batches_;
   if (config_.compress_against_table) {
-    std::vector<PathCode> codes;
-    codes.reserve(fresh_.size());
-    // Ship the maximal covering code the table knows for each fresh
-    // completion; dedup (covering codes form an antichain, so equality is
-    // the only possible overlap).
+    // Header words, every code whole and the deepest: bounds the batch.
+    std::size_t words = 0;
+    std::size_t deepest = 0;
     for (const PathCode& c : fresh_) {
-      std::optional<PathCode> covering = table_.covering_code(c);
-      codes.push_back(covering.has_value() ? std::move(*covering) : c);
       note_contraction(0, c.depth() + 1);
       env_->charge(CostKind::kContraction,
                    config_.costs.contract_per_node * static_cast<double>(c.depth() + 1));
+      words += 2 + c.depth();
+      deepest = std::max(deepest, c.depth());
     }
-    std::sort(codes.begin(), codes.end());
-    codes.erase(std::unique(codes.begin(), codes.end()), codes.end());
-    m.codes = CodeList(std::move(codes));
+    // Ship the maximal covering code the table knows for each fresh
+    // completion, sorted and deduplicated. Covering codes are completed
+    // trie leaves, and each one's subtree is a contiguous range of the code
+    // order, so sorted completions map to sorted covering codes and the
+    // only overlap, equality, is between neighbours.
+    std::sort(fresh_.begin(), fresh_.end());
+    CodeList::Builder batch(words + deepest);
+    for (const PathCode& c : fresh_) {
+      std::optional<PathCode> covering = table_.covering_code(c);
+      PathCode code = covering.has_value() ? std::move(*covering) : c;
+      if (!batch.empty() && code == batch.last()) continue;
+      batch.push(std::move(code));
+    }
+    m.codes = std::move(batch).finish();
   } else {
     // Paper-literal scheme: contract the list against itself only (in the
     // per-worker scratch trie; clear() keeps its node storage).

@@ -70,7 +70,7 @@ TEST(CodeSet, SiblingsContractToParent) {
   const auto r = set.insert(path({{1, false}, {2, true}}));
   EXPECT_EQ(r.merges, 1u);
   EXPECT_EQ(set.code_count(), 1u);
-  const auto codes = set.export_codes();
+  const auto codes = set.export_codes().to_vector();
   ASSERT_EQ(codes.size(), 1u);
   EXPECT_EQ(codes[0], path({{1, false}}));  // the parent
   set.check_invariants();
@@ -89,7 +89,7 @@ TEST(CodeSet, ContractionCascadesToRoot) {
   EXPECT_TRUE(set.root_complete());
   EXPECT_EQ(set.code_count(), 1u);
   ASSERT_EQ(set.export_codes().size(), 1u);
-  EXPECT_TRUE(set.export_codes()[0].is_root());
+  EXPECT_TRUE(set.export_codes().back().is_root());
   EXPECT_TRUE(set.complement().empty());
   set.check_invariants();
 }
@@ -157,8 +157,8 @@ TEST(CodeSet, ComplementIsDisjointFromTable) {
   for (const PathCode& c : set.complement()) {
     EXPECT_FALSE(set.covered(c)) << c.to_string();
     // And no completed code lies inside a complement region.
-    for (const PathCode& done : set.export_codes()) {
-      EXPECT_FALSE(c.contains(done));
+    for (const PathView done : set.export_codes()) {
+      EXPECT_FALSE(c.view().contains(done));
     }
   }
 }
@@ -400,11 +400,12 @@ TEST_P(CodeSetPropertyTest, ComplementUnionExportTilesTreeAndDrivesRootComplete)
   set.check_invariants();
 
   const CodeList exported = set.export_codes();
+  const std::vector<PathCode> exported_codes = exported.to_vector();
   const std::vector<PathCode> complement = set.complement();
 
   // The two lists are disjoint region sets: no code of one lies inside a
   // region of the other.
-  for (const PathCode& e : exported) {
+  for (const PathCode& e : exported_codes) {
     for (const PathCode& c : complement) {
       EXPECT_FALSE(e.contains(c)) << e.to_string() << " vs " << c.to_string();
       EXPECT_FALSE(c.contains(e)) << c.to_string() << " vs " << e.to_string();
@@ -413,7 +414,7 @@ TEST_P(CodeSetPropertyTest, ComplementUnionExportTilesTreeAndDrivesRootComplete)
 
   // Exact tiling: every leaf of the underlying tree lies in exactly one
   // region of export ∪ complement.
-  std::vector<PathCode> regions = exported.vec();
+  std::vector<PathCode> regions = exported_codes;
   regions.insert(regions.end(), complement.begin(), complement.end());
   for (const std::size_t i : leaf_indices) {
     const PathCode& leaf = nodes[i].first;
@@ -491,13 +492,46 @@ struct DiffTree {
   }
 };
 
-/// insert_all(batch) on a copy of `table` must equal a loop of insert() on
-/// another copy, field for field.
+/// The export memo, written front-coded by the DFS, equals the list rebuilt
+/// from its codes (keeps by word comparison) field for field: keeps, codes,
+/// byte total and last code. So the keep the DFS tracks is the exact lcp.
+void expect_export_is_exact(const CodeSet& set) {
+  const CodeList exported = set.export_codes();
+  const std::vector<PathCode> codes = exported.to_vector();
+  const CodeList rebuilt(codes);
+  EXPECT_EQ(exported, rebuilt);
+  EXPECT_EQ(exported.size(), set.code_count());
+  EXPECT_EQ(exported.encoded_size(), rebuilt.encoded_size());
+  EXPECT_EQ(exported.encoded_size(), set.encoded_bytes());
+  if (!codes.empty()) {
+    EXPECT_EQ(exported.back(), codes.back().view());
+    EXPECT_EQ(rebuilt.back(), codes.back().view());
+  }
+  std::size_t i = 0;
+  CodeList::Iterator b = rebuilt.begin();
+  for (CodeList::Iterator a = exported.begin(); a != exported.end(); ++a, ++b) {
+    ASSERT_LT(i, codes.size());
+    const std::size_t lcp =
+        i == 0 ? 0 : common_prefix_len(codes[i - 1], codes[i]);
+    EXPECT_EQ(a.keep(), lcp) << "code " << i;
+    EXPECT_EQ(b.keep(), lcp) << "code " << i;
+    EXPECT_EQ(*a, codes[i].view());
+    EXPECT_EQ(*b, codes[i].view());
+    ++i;
+  }
+  EXPECT_EQ(i, codes.size());
+  EXPECT_TRUE(b == rebuilt.end());
+}
+
+/// insert_all(batch), as a span and as a CodeList, on copies of `table`
+/// must equal a loop of insert() on another copy, field for field.
 void expect_bulk_matches_loop(const CodeSet& table,
                               const std::vector<PathCode>& batch) {
   CodeSet bulk = table;
+  CodeSet listed = table;
   CodeSet loop = table;
   const CodeSet::InsertResult got = bulk.insert_all(batch);
+  const CodeSet::InsertResult got_listed = listed.insert_all(CodeList(batch));
   CodeSet::InsertResult want;
   for (const PathCode& c : batch) {
     const CodeSet::InsertResult r = loop.insert(c);
@@ -505,15 +539,20 @@ void expect_bulk_matches_loop(const CodeSet& table,
     want.nodes_walked += r.nodes_walked;
     want.merges += r.merges;
   }
-  EXPECT_EQ(got.nodes_walked, want.nodes_walked);
-  EXPECT_EQ(got.merges, want.merges);
-  EXPECT_EQ(got.newly_covered, want.newly_covered);
-  EXPECT_EQ(bulk.export_codes(), loop.export_codes());
-  EXPECT_EQ(bulk.encoded_bytes(), loop.encoded_bytes());
-  EXPECT_EQ(bulk.trie_nodes(), loop.trie_nodes());
-  EXPECT_EQ(bulk.root_complete(), loop.root_complete());
-  bulk.check_invariants();
+  for (const CodeSet::InsertResult& r : {got, got_listed}) {
+    EXPECT_EQ(r.nodes_walked, want.nodes_walked);
+    EXPECT_EQ(r.merges, want.merges);
+    EXPECT_EQ(r.newly_covered, want.newly_covered);
+  }
+  for (const CodeSet* s : {&bulk, &listed}) {
+    EXPECT_EQ(s->export_codes(), loop.export_codes());
+    EXPECT_EQ(s->encoded_bytes(), loop.encoded_bytes());
+    EXPECT_EQ(s->trie_nodes(), loop.trie_nodes());
+    EXPECT_EQ(s->root_complete(), loop.root_complete());
+    s->check_invariants();
+  }
   loop.check_invariants();
+  expect_export_is_exact(bulk);
 }
 
 class CodeSetDiff : public ::testing::TestWithParam<std::uint64_t> {};
@@ -523,9 +562,9 @@ TEST_P(CodeSetDiff, SortedPeerExportIntoPartialTable) {
   const DiffTree t(seed + 100, 401, 0.6);
   support::Rng rng(seed * 7 + 1);
   const CodeSet peer = t.table(rng, 0.5);
-  expect_bulk_matches_loop(t.table(rng, 0.5), peer.export_codes().vec());
-  expect_bulk_matches_loop(CodeSet{}, peer.export_codes().vec());
-  expect_bulk_matches_loop(peer, peer.export_codes().vec());
+  expect_bulk_matches_loop(t.table(rng, 0.5), peer.export_codes().to_vector());
+  expect_bulk_matches_loop(CodeSet{}, peer.export_codes().to_vector());
+  expect_bulk_matches_loop(peer, peer.export_codes().to_vector());
 }
 
 TEST_P(CodeSetDiff, SortedMixOfInnerNodesAndLeaves) {
@@ -615,7 +654,7 @@ TEST_P(CodeSetDiff, CodesDeeperThanTheInlineBuffer) {
   ASSERT_GT(max_depth, 2 * std::size_t{PathCode::kInlineWords});
   support::Rng rng(seed * 7 + 7);
   const CodeSet peer = t.table(rng, 0.5);
-  expect_bulk_matches_loop(t.table(rng, 0.5), peer.export_codes().vec());
+  expect_bulk_matches_loop(t.table(rng, 0.5), peer.export_codes().to_vector());
   std::vector<PathCode> batch = t.sample(rng, 0.3);
   expect_bulk_matches_loop(t.table(rng, 0.3), batch);
   std::shuffle(batch.begin(), batch.end(), rng);
@@ -629,13 +668,41 @@ TEST(CodeSetDiffMemo, ExportIsSharedAndNeverRewrittenUnderAReader) {
   CodeSet set;
   set.insert(path({{1, false}}));
   const CodeList first = set.export_codes();
-  EXPECT_EQ(&first.vec(), &set.export_codes().vec());  // unchanged: shared
+  EXPECT_EQ(first.identity(), set.export_codes().identity());  // unchanged: shared
   set.insert(path({{1, true}, {2, false}}));
   const CodeList second = set.export_codes();
   // `first` is still held, so the rebuild went to a fresh list.
+  EXPECT_NE(first.identity(), second.identity());
   ASSERT_EQ(first.size(), 1u);
-  EXPECT_EQ(first[0], path({{1, false}}));
+  EXPECT_EQ(first.back(), path({{1, false}}).view());
+  EXPECT_EQ(first.encoded_size(), 1 + path({{1, false}}).encoded_size());
   EXPECT_EQ(second.size(), 2u);
+  EXPECT_EQ(second.back(), path({{1, true}, {2, false}}).view());
+}
+
+TEST(CodeSetDiffMemo, InPlaceRebuildResetsByteTotalAndBack) {
+  CodeSet set;
+  set.insert(path({{1, false}, {2, true}, {3, false}, {5, true}}));
+  set.insert(path({{1, true}, {4, false}, {300, true}}));
+  // The temporary is the memo's only other holder, so every rebuild below
+  // reuses the same buffer.
+  const void* memo = set.export_codes().identity();
+  const auto expect_memo = [&](const PathCode& last) {
+    const CodeList list = set.export_codes();
+    EXPECT_EQ(list.identity(), memo);
+    EXPECT_EQ(list.back(), last.view());
+    EXPECT_EQ(list.encoded_size(), set.encoded_bytes());
+    EXPECT_EQ(list, CodeList(list.to_vector()));
+  };
+  expect_memo(path({{1, true}, {4, false}, {300, true}}));
+  // A shallower last code, with fewer bytes: (x1,1) subsumes its subtree.
+  set.insert(path({{1, true}}));
+  expect_memo(path({{1, true}}));
+  // One code left, the root: the list shrinks to it.
+  set.insert(path({{1, false}}));
+  expect_memo(PathCode::root());
+  EXPECT_EQ(set.export_codes().size(), 1u);
+  EXPECT_EQ(set.export_codes().encoded_size(), 2u);
 }
 
 TEST(CodeSetDiffDeathTest, MismatchBelowSharedPrefixAborts) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "core/code_set.hpp"
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "support/rng.hpp"
@@ -66,9 +68,11 @@ TEST(Messages, WorkReportCarriesCodes) {
   m.codes = {PathCode::root().child(2, true),
              PathCode::root().child(2, false).child(3, true)};
   const Message out = round_trip(m);
-  ASSERT_EQ(out.codes.size(), 2u);
-  EXPECT_EQ(out.codes[0], m.codes[0]);
-  EXPECT_EQ(out.codes[1], m.codes[1]);
+  const std::vector<PathCode> got = out.codes.to_vector();
+  const std::vector<PathCode> want = m.codes.to_vector();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0], want[0]);
+  EXPECT_EQ(got[1], want[1]);
 }
 
 TEST(Messages, RootReportIsTheRootCode) {
@@ -77,7 +81,7 @@ TEST(Messages, RootReportIsTheRootCode) {
   m.codes = {PathCode::root()};
   const Message out = round_trip(m);
   ASSERT_EQ(out.codes.size(), 1u);
-  EXPECT_TRUE(out.codes[0].is_root());
+  EXPECT_TRUE(out.codes.back().is_root());
 }
 
 TEST(Messages, TableGossipRoundTrip) {
@@ -251,6 +255,30 @@ PathCode wide_code(support::Rng& rng) {
   return c;
 }
 
+/// A node of one fixed search tree, which branches at depth i on a
+/// variable that depends on i alone, so any set of these codes can go into
+/// one CodeSet. It descends from `base` below a random prefix of it, down
+/// to depth 80; step words need 1 to 5 bytes.
+PathCode tree_code(support::Rng& rng, const PathCode& base) {
+  static constexpr std::uint32_t kVarCaps[] = {64, 8192, 1u << 20,
+                                               PathCode::kMaxVar};
+  PathCode c = base.prefix(rng.pick(base.depth() + 1));
+  const std::size_t depth = c.depth() + rng.pick(81 - c.depth());
+  for (std::size_t i = c.depth(); i < depth; ++i) {
+    c.push_step(static_cast<std::uint32_t>((i * 2654435761u) % kVarCaps[i % 4]),
+                rng.chance(0.5));
+  }
+  return c;
+}
+
+/// A table's export after `n` more random tree codes went in: front-coded
+/// by the table's DFS, with long shared prefixes.
+CodeList grow_and_export(support::Rng& rng, CodeSet& table,
+                         const PathCode& base, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) table.insert(tree_code(rng, base));
+  return table.export_codes();
+}
+
 TEST(Messages, WireSizeMatchesEncodeForRandomMessages) {
   support::Rng rng(20261017);
   const FrameCodec legacy(FrameVersion::kLegacy);
@@ -275,6 +303,21 @@ TEST(Messages, WireSizeMatchesEncodeForRandomMessages) {
     m.encode(w);
     EXPECT_EQ(m.wire_size(), w.size()) << to_string(m.type);
     EXPECT_EQ(m.wire_size(), legacy.frame_size(m, nullptr)) << to_string(m.type);
+  }
+  // Export-built lists: the cached byte total comes from the table.
+  const PathCode base = tree_code(rng, PathCode::root());
+  for (int trial = 0; trial < 60; ++trial) {
+    CodeSet table;
+    Message m;
+    m.type = trial % 2 == 0 ? MsgType::kTableGossip : MsgType::kWorkReport;
+    m.from = static_cast<NodeId>(rng.pick(1 << 20));
+    m.codes = grow_and_export(rng, table, base, rng.pick(40));
+    support::ByteWriter w;
+    m.encode(w);
+    EXPECT_EQ(m.wire_size(), w.size());
+    EXPECT_EQ(m.wire_size(), legacy.frame_size(m, nullptr));
+    support::ByteReader r(w.data());
+    EXPECT_EQ(Message::decode(r).codes, m.codes);
   }
 }
 
@@ -307,6 +350,84 @@ TEST(Frames, DeltaChainDecodesStandaloneAcrossBatches) {
     EXPECT_EQ(d.msg.report_seq, batch - 1);  // codec's own wire sequence
   }
   EXPECT_EQ(state.seq, 49u);
+}
+
+/// A v1 report frame encoded by hand from whole codes: wire sequence
+/// `seq`, the chain base shipped from sequence 1 on, and every code as
+/// (trim, add, words) against its predecessor's exact common prefix.
+std::vector<std::uint8_t> reference_v1_report(const Message& m,
+                                              std::uint64_t seq,
+                                              const PathCode& base) {
+  support::ByteWriter p;
+  p.varint(m.from);
+  p.f64(m.best_known);
+  p.varint(m.request_id);
+  p.varint(seq);
+  if (seq > 0) base.encode(p);
+  const std::vector<PathCode> codes = m.codes.to_vector();
+  p.varint(codes.size());
+  const PathCode* prev = &base;
+  for (const PathCode& c : codes) {
+    const std::size_t keep = common_prefix_len(*prev, c);
+    p.varint(prev->depth() - keep);
+    p.varint(c.depth() - keep);
+    for (std::size_t i = keep; i < c.depth(); ++i) p.varint(c.word(i));
+    prev = &c;
+  }
+  support::ByteWriter w;
+  w.u8(kFrameMagic);
+  w.u8(static_cast<std::uint8_t>(FrameVersion::kV1));
+  w.u8(static_cast<std::uint8_t>(m.type));
+  w.varint(p.size());
+  for (const std::uint8_t b : p.data()) w.u8(b);
+  return std::move(w.data());
+}
+
+TEST(Frames, ExportBatchesChainAcrossFrames) {
+  // A growing table's exports and report-like batches, deep codes
+  // included, chained as one sender's v1 report stream with empty batches
+  // in between: the counted
+  // frame size is the encoded length, every frame is the byte-exact delta
+  // chain against the previous non-empty batch, and every frame round-trips.
+  support::Rng rng(4242);
+  const FrameCodec v1(FrameVersion::kV1);
+  PathCode base;
+  while (base.depth() < 70) base = tree_code(rng, PathCode::root());
+  CodeSet table;
+  ReportDeltaState counted;
+  ReportDeltaState encoded;
+  PathCode delta_base;  // last code of the latest non-empty batch so far
+  for (std::uint64_t batch = 1; batch <= 12; ++batch) {
+    Message m;
+    m.type = batch % 2 == 0 ? MsgType::kTableGossip : MsgType::kWorkReport;
+    m.from = 4;
+    m.report_seq = batch;
+    if (batch % 4 == 1) {
+      // A report-like batch: a few sorted codes near the previous batch.
+      std::vector<PathCode> fresh;
+      for (std::size_t i = 0, n = 1 + rng.pick(4); i < n; ++i) {
+        fresh.push_back(tree_code(rng, base));
+      }
+      std::sort(fresh.begin(), fresh.end());
+      m.codes = CodeList(fresh);
+    } else if (batch % 4 != 3) {
+      m.codes = grow_and_export(rng, table, base, 1 + rng.pick(6));
+    }
+    for (int copy = 0; copy < 2; ++copy) {  // fanout copies of one batch
+      const std::size_t size = v1.frame_size(m, &counted);
+      const auto buf = encode_frame(v1, m, &encoded);
+      EXPECT_EQ(size, buf.size()) << "batch " << batch;
+      EXPECT_EQ(buf, reference_v1_report(m, batch - 1, delta_base))
+          << "batch " << batch;
+      const FrameDecode d = FrameCodec::decode(buf);
+      ASSERT_TRUE(d.ok()) << to_string(d.status) << " at batch " << batch;
+      EXPECT_EQ(d.msg.codes, m.codes) << "batch " << batch;
+      EXPECT_EQ(d.msg.report_seq, batch - 1);
+    }
+    if (!m.codes.empty()) delta_base = PathCode(m.codes.back());
+  }
+  EXPECT_EQ(encoded.seq, 11u);
+  EXPECT_EQ(encoded.cur, table.export_codes());  // batch 12 is an export
 }
 
 TEST(Frames, EveryTruncationDecodesToErrorNotCrash) {
