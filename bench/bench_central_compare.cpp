@@ -36,7 +36,8 @@ int main() {
         problem, procs, central_cfg, {}, {}, 3e4, 59);
     std::uint64_t busiest = 0;
     for (const auto& w : ours.workers) {
-      busiest = std::max(busiest, w.msgs_received + w.msgs_sent);
+      busiest = std::max(busiest, w.work[core::WorkItem::kMsgsReceived] +
+                                     w.work[core::WorkItem::kMsgsSent]);
     }
     ta.row({std::to_string(procs),
             ours.all_live_halted ? support::TextTable::num(ours.makespan, 2) : "-",

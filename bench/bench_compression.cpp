@@ -56,8 +56,9 @@ Cell measure(const ftbb::bnb::TreeProblem& problem, std::uint32_t procs,
   c.procs = procs;
   c.batch = batch;
   const double nodes = static_cast<double>(res.total_expanded);
-  c.codes_per_completion = static_cast<double>(res.total_report_codes) /
-                           static_cast<double>(res.total_completions);
+  c.codes_per_completion =
+      static_cast<double>(res.work[core::WorkItem::kReportCodesSent]) /
+      static_cast<double>(res.work[core::WorkItem::kCompletions]);
   c.v1_bytes_per_node = static_cast<double>(res.wire.frame_bytes) / nodes;
   c.legacy_bytes_per_node = static_cast<double>(res.wire.flat_bytes) / nodes;
   c.v1_report_bytes_per_node =

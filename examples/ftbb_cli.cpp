@@ -6,7 +6,6 @@
 //            [--crash FRACTION ...]   kill one worker at FRACTION of the
 //                                     failure-free makespan (repeatable)
 //            [--loss P]               i.i.d. message loss probability
-//            [--adaptive]             adaptive timeouts (Section 7)
 //            [--trace]                print the activity timeline
 //
 // Example: ./ftbb_cli --problem partition --workers 6 --crash 0.4 --crash 0.6
@@ -32,7 +31,6 @@ struct Options {
   std::size_t size = 0;  // 0 = per-problem default
   std::vector<double> crash_fractions;
   double loss = 0.0;
-  bool adaptive = false;
   bool trace = false;
 };
 
@@ -66,8 +64,6 @@ bool parse(int argc, char** argv, Options& opt) {
       const char* v = next();
       if (!v) return false;
       opt.loss = std::atof(v);
-    } else if (arg == "--adaptive") {
-      opt.adaptive = true;
     } else if (arg == "--trace") {
       opt.trace = true;
     } else {
@@ -87,7 +83,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--problem knapsack|vertex-cover|partition|tree] "
                  "[--workers N] [--seed S] [--size N] [--crash F]... "
-                 "[--loss P] [--adaptive] [--trace]\n",
+                 "[--loss P] [--trace]\n",
                  argv[0]);
     return 2;
   }
@@ -131,7 +127,6 @@ int main(int argc, char** argv) {
   cfg.worker.table_gossip_interval = 0.5;
   cfg.worker.work_request_timeout = 0.02;
   cfg.worker.idle_backoff = 0.01;
-  cfg.worker.adaptive_timeouts = opt.adaptive;
   cfg.net.loss_prob = opt.loss;
   cfg.record_trace = opt.trace;
   cfg.time_limit = 1e5;

@@ -58,8 +58,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(res.redundant_expansions));
   for (std::size_t i = 0; i < res.workers.size(); ++i) {
     std::printf("worker %zu      : expanded=%llu recoveries=%llu%s\n", i,
-                static_cast<unsigned long long>(res.workers[i].expanded),
-                static_cast<unsigned long long>(res.workers[i].recoveries),
+                static_cast<unsigned long long>(
+                    res.workers[i].work[core::WorkItem::kExpansions]),
+                static_cast<unsigned long long>(
+                    res.workers[i].work[core::WorkItem::kRecoveries]),
                 res.crashed[i] ? " [crashed]" : "");
   }
   return res.all_live_halted ? 0 : 1;

@@ -44,14 +44,12 @@ bool ActivePool::ranks_before(const Entry& ea, const Entry& eb) const {
 }
 
 void ActivePool::push(Subproblem p) {
-  ++maint_.pushes;
   heap_.push_back(Entry{std::move(p), ++next_seq_});
   sift_up(heap_.size() - 1);
 }
 
 Subproblem ActivePool::pop() {
   FTBB_CHECK_MSG(!heap_.empty(), "pop from empty pool");
-  ++maint_.pops;
   Subproblem top = std::move(heap_.front().item);
   if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
   heap_.pop_back();
@@ -79,14 +77,12 @@ std::vector<Subproblem> ActivePool::remove_where(Victim victim) {
 }
 
 std::vector<Subproblem> ActivePool::prune_above(double threshold) {
-  maint_.sweep_entries_scanned += heap_.size();
   return remove_where(
       [&](std::size_t i) { return heap_[i].item.bound >= threshold; });
 }
 
 std::vector<Subproblem> ActivePool::remove_if(
     const std::function<bool(const Subproblem&)>& victim) {
-  maint_.sweep_entries_scanned += heap_.size();
   return remove_where([&](std::size_t i) { return victim(heap_[i].item); });
 }
 
@@ -110,7 +106,6 @@ std::vector<Subproblem> ActivePool::extract_for_sharing(std::size_t k) {
                    });
   std::vector<bool> take(heap_.size(), false);
   for (std::size_t i = 0; i < k; ++i) take[order[i]] = true;
-  maint_.share_extracted += k;
   return remove_where([&take](std::size_t i) { return take[i]; });
 }
 

@@ -33,18 +33,6 @@ enum class SelectRule {
 
 [[nodiscard]] const char* to_string(SelectRule rule);
 
-/// Pool-maintenance work counters for the cost model (core::WorkLedger):
-/// pure observation of what the pool already does — bumping them changes no
-/// answer, no order, no layout. Per-worker pool operations run in the
-/// kernel's total event order, so these are deterministic across thread
-/// counts.
-struct PoolMaintStats {
-  std::uint64_t pushes = 0;
-  std::uint64_t pops = 0;
-  std::uint64_t sweep_entries_scanned = 0;  // prune_above/remove_if visits
-  std::uint64_t share_extracted = 0;
-};
-
 class ActivePool {
  public:
   explicit ActivePool(SelectRule rule = SelectRule::kBestFirst);
@@ -77,10 +65,6 @@ class ActivePool {
 
   [[nodiscard]] SelectRule rule() const { return rule_; }
 
-  /// Cumulative maintenance-work counters (never reset by clear(); a worker
-  /// incarnation owns its pool, so the counters are per-incarnation).
-  [[nodiscard]] const PoolMaintStats& maintenance() const { return maint_; }
-
   void clear() { heap_.clear(); }
 
   /// Heap-property validation for tests. Aborts on violation.
@@ -106,7 +90,6 @@ class ActivePool {
   SelectRule rule_;
   std::vector<Entry> heap_;  // heap_[0] = next pop
   std::uint64_t next_seq_ = 0;
-  PoolMaintStats maint_;
 };
 
 }  // namespace ftbb::bnb

@@ -51,24 +51,46 @@ Graph Graph::complete(std::uint32_t n) {
 
 namespace {
 
-/// Exact minimum vertex cover by exponential recursion with pruning; only
-/// used to pre-verify small instances.
-std::uint32_t brute_force_vc(const Graph& g, std::vector<std::int8_t>& status,
-                             std::uint32_t in_count, std::uint32_t best) {
+/// Exact minimum vertex cover for small graphs, kept apart from the model's
+/// own branching code so it can check it. Branches on the undecided vertex
+/// with the most undecided neighbours: it joins the cover, or it stays out
+/// and every undecided neighbour joins. `status` is 1 (in), 0 (out) or -1.
+std::uint32_t exact_min_cover(const Graph& g, std::vector<std::int8_t>& status,
+                              std::uint32_t in_count, std::uint32_t best) {
   if (in_count >= best) return best;
-  // Find any uncovered edge.
-  for (auto [a, b] : g.edges) {
-    if (status[a] == 1 || status[b] == 1) continue;
-    // Edge (a, b) uncovered: one endpoint must join the cover.
-    for (const std::uint32_t v : {a, b}) {
-      const std::int8_t saved = status[v];
-      status[v] = 1;
-      best = brute_force_vc(g, status, in_count + 1, best);
-      status[v] = saved;
+  std::uint32_t pick = g.n;
+  std::size_t pick_degree = 0;
+  for (std::uint32_t v = 0; v < g.n; ++v) {
+    if (status[v] != -1) continue;
+    std::size_t degree = 0;
+    for (const std::uint32_t u : g.adj[v]) degree += status[u] == -1 ? 1 : 0;
+    if (degree > pick_degree) {
+      pick = v;
+      pick_degree = degree;
     }
-    return best;
   }
-  return std::min(best, in_count);
+  if (pick == g.n) {
+    // No undecided edge is left: every edge must have an endpoint in.
+    std::uint32_t cover = 0;
+    for (const std::int8_t st : status) cover += st == 1 ? 1 : 0;
+    for (auto [a, b] : g.edges) FTBB_CHECK(status[a] == 1 || status[b] == 1);
+    return std::min(best, cover);
+  }
+  status[pick] = 1;
+  best = exact_min_cover(g, status, in_count + 1, best);
+  status[pick] = 0;
+  std::vector<std::uint32_t> forced;
+  for (const std::uint32_t u : g.adj[pick]) {
+    if (status[u] == -1) {
+      status[u] = 1;
+      forced.push_back(u);
+    }
+  }
+  best = exact_min_cover(g, status, in_count + static_cast<std::uint32_t>(forced.size()),
+                         best);
+  for (const std::uint32_t u : forced) status[u] = -1;
+  status[pick] = -1;
+  return best;
 }
 
 }  // namespace
@@ -76,9 +98,9 @@ std::uint32_t brute_force_vc(const Graph& g, std::vector<std::int8_t>& status,
 VertexCoverModel::VertexCoverModel(Graph g, NodeCostModel cost)
     : graph_(std::move(g)), cost_(cost) {
   if (graph_.n <= 26) {
-    std::vector<std::int8_t> status(graph_.n, kUnset);
-    known_optimal_ = static_cast<double>(
-        brute_force_vc(graph_, status, 0, graph_.n));
+    std::vector<std::int8_t> status(graph_.n, -1);
+    known_optimal_ =
+        static_cast<double>(exact_min_cover(graph_, status, 0, graph_.n));
   }
 }
 

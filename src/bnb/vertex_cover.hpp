@@ -66,7 +66,7 @@ class VertexCoverModel final : public IProblemModel {
 
   Graph graph_;
   NodeCostModel cost_;
-  std::optional<double> known_optimal_;  // brute force for small graphs
+  std::optional<double> known_optimal_;  // exact, for small graphs
 };
 
 }  // namespace ftbb::bnb

@@ -1,10 +1,11 @@
 // Per-operation work accounting and the cost controller it feeds.
 //
-// WorkLedger is a flat per-worker, per-incarnation counter block in the
-// style of bcdb's CostModel instruction-visitor accounting: every class of
-// work the worker performs — node expansions, completion-table contraction,
-// pool maintenance, messages and wire bytes shipped, load-balancing rounds,
-// recoveries — gets one enum-indexed counter. Ledgers add field-wise and are
+// WorkLedger is the worker's only counter block — flat, per-incarnation, in
+// the style of bcdb's CostModel instruction-visitor accounting: every class
+// of work the worker performs — node expansions, completion-table
+// contraction, pool maintenance, messages and wire bytes shipped,
+// load-balancing rounds, recoveries — gets one enum-indexed counter, bumped
+// where the work happens. Ledgers add field-wise and are
 // merged across incarnations and workers in canonical (host id) order, so a
 // sharded simulation produces bit-identical aggregate ledgers to the
 // sequential kernel: per-worker event order is fixed by the kernel's total
@@ -12,11 +13,11 @@
 //
 // CostController turns the observed per-node expansion cost (EWMA-smoothed,
 // with a hysteresis band so cheap subtrees don't thrash the outputs) into
-// the worker's adaptivity knobs. The deliberate asymmetry against the
-// PR-era `adaptive_timeouts` scheme: node cost prices *waiting for a busy
-// peer*, not messaging. So the controller raises only the request timeout
-// (a busy peer answers at its next step boundary, one node away), keeps the
-// idle backoff and report flush at their configured base (polling cadence
+// the worker's adaptivity knobs. The deliberate asymmetry against scaling
+// every waiting interval with node cost: node cost prices *waiting for a
+// busy peer*, not messaging. So the controller raises only the request timeout
+// (a busy peer answers at its next step boundary, one node away), leaves the
+// idle backoff and report flush to the worker's config (polling cadence
 // and knowledge spread are message-priced, and messages did not get more
 // expensive), shrinks the report batch on coarse nodes (each completion now
 // carries more work, so holding eight of them back delays the group's
@@ -85,7 +86,7 @@ constexpr int kWorkItems = static_cast<int>(WorkItem::kCount);
 
 [[nodiscard]] const char* to_string(WorkItem item);
 
-/// Flat additive work accounting. `seconds` mirrors WorkerStats::time in
+/// Flat additive work accounting. `seconds` holds the time buckets in
 /// CostKind order (bb, contraction, comm, lb, idle); kept here as plain
 /// doubles so the ledger stays self-contained and header-cycle-free.
 struct WorkLedger {
@@ -145,38 +146,30 @@ class CostController {
   /// (fanout * (send + recv fixed costs)) — the denominator that decides
   /// how much batching a report must amortize.
   void configure(const CostModelConfig& cfg, double base_timeout,
-                 double base_backoff, double base_flush,
                  std::uint32_t base_batch, double report_msg_cost) {
     cfg_ = cfg;
     base_timeout_ = base_timeout;
-    base_backoff_ = base_backoff;
-    base_flush_ = base_flush;
     base_batch_ = base_batch;
     report_msg_cost_ = report_msg_cost;
   }
 
   /// Feed one observed expansion cost. Updates the EWMA; retunes outputs
-  /// only when the drift leaves the hysteresis band.
-  void observe(double cost) {
-    if (cost <= 0.0) return;
+  /// only when the drift leaves the hysteresis band, and returns whether it
+  /// did (the worker counts retunes in its ledger).
+  bool observe(double cost) {
+    if (cost <= 0.0) return false;
     ewma_ = (ewma_ == 0.0) ? cost : ewma_ + cfg_.ewma_alpha * (cost - ewma_);
-    if (tuned_ewma_ == 0.0 ||
-        std::abs(ewma_ - tuned_ewma_) > cfg_.hysteresis * tuned_ewma_) {
-      tuned_ewma_ = ewma_;
-      ++retunes_;
+    if (tuned_ewma_ != 0.0 &&
+        std::abs(ewma_ - tuned_ewma_) <= cfg_.hysteresis * tuned_ewma_) {
+      return false;
     }
+    tuned_ewma_ = ewma_;
+    return true;
   }
 
   [[nodiscard]] double request_timeout() const {
     return base_timeout_ + cfg_.timeout_safety * tuned_ewma_;
   }
-  /// Deliberately the base value: backoff paces polling, and polling is
-  /// message-priced. Scaling it with node cost is exactly where the PR-era
-  /// scheme lost its efficiency.
-  [[nodiscard]] double backoff() const { return base_backoff_; }
-  /// Deliberately the base value, same reasoning as backoff().
-  [[nodiscard]] double flush_interval() const { return base_flush_; }
-
   [[nodiscard]] std::uint32_t report_batch() const {
     if (tuned_ewma_ == 0.0 || base_batch_ <= 1) return base_batch_;
     const double ideal =
@@ -199,18 +192,14 @@ class CostController {
 
   [[nodiscard]] double ewma() const { return ewma_; }
   [[nodiscard]] double tuned_ewma() const { return tuned_ewma_; }
-  [[nodiscard]] std::uint64_t retunes() const { return retunes_; }
 
  private:
   CostModelConfig cfg_;
   double base_timeout_ = 0.05;
-  double base_backoff_ = 0.02;
-  double base_flush_ = 1.0;
   std::uint32_t base_batch_ = 8;
   double report_msg_cost_ = 2e-4;
   double ewma_ = 0.0;        // continuously updated
   double tuned_ewma_ = 0.0;  // outputs derive from this; hysteresis-gated
-  std::uint64_t retunes_ = 0;
 };
 
 }  // namespace ftbb::core

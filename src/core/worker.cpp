@@ -44,10 +44,10 @@ BnbWorker::BnbWorker(NodeId id, const bnb::IProblemModel* model, WorkerConfig co
   FTBB_CHECK(config_.report_fanout >= 1);
   FTBB_CHECK(config_.grant_divisor >= 1);
   controller_.configure(
-      config_.cost_model, config_.work_request_timeout, config_.idle_backoff,
-      config_.report_flush_interval, config_.report_batch,
+      config_.cost_model, config_.work_request_timeout, config_.report_batch,
       static_cast<double>(config_.report_fanout) *
           (config_.costs.send_fixed + config_.costs.recv_fixed));
+  stats_.work[WorkItem::kIncarnations] = 1;
 }
 
 void BnbWorker::on_start(bool with_root) {
@@ -60,6 +60,7 @@ void BnbWorker::on_start(bool with_root) {
                   config_.table_gossip_interval * (0.5 + env_->rng().uniform()),
                   ++gossip_gen_);
   if (with_root) {
+    ++stats_.work[WorkItem::kPoolPushes];
     pool_.push(bnb::Subproblem{PathCode::root(), model_->root_bound()});
     continue_work();
     return;
@@ -98,16 +99,17 @@ void BnbWorker::do_step() {
     continue_work();
     return;
   }
+  ++stats_.work[WorkItem::kPoolPops];
   const bnb::Subproblem p = pool_.pop();
   if (config_.enable_elimination && p.bound >= incumbent_) {
     // Eliminate: the incumbent improved after insertion. A problem fathomed
     // by its bound is completed (paper Figure 2 semantics).
-    ++stats_.eliminated;
+    ++stats_.work[WorkItem::kEliminated];
     complete(p.code);
   } else if (table_.covered(p.code)) {
     // A work report proved this subproblem done elsewhere; drop it
     // ("interrupting the redundant work when information is updated").
-    ++stats_.covered_skips;
+    ++stats_.work[WorkItem::kCoveredSkips];
   } else {
     expand(p);
   }
@@ -122,23 +124,22 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
   const bnb::NodeEval eval = model_->eval(p.code);
   env_->charge(CostKind::kBB, eval.cost);
   env_->note_expansion(p.code, eval.cost);
-  observe_cost(eval.cost);
-  controller_.observe(eval.cost);
-  ++stats_.expanded;
+  if (controller_.observe(eval.cost)) ++stats_.work[WorkItem::kControllerRetunes];
+  ++stats_.work[WorkItem::kExpansions];
 
   if (eval.feasible_leaf) {
-    ++stats_.feasible_leaves;
+    ++stats_.work[WorkItem::kFeasibleLeaves];
     if (eval.value < incumbent_) {
       incumbent_ = eval.value;
       best_code_ = p.code;
-      ++stats_.incumbent_updates;
+      ++stats_.work[WorkItem::kIncumbentUpdates];
       prune_pool_by_bound();
     }
     complete(p.code);
     return;
   }
   if (eval.children.empty()) {
-    ++stats_.dead_ends;
+    ++stats_.work[WorkItem::kDeadEnds];
     complete(p.code);
     return;
   }
@@ -147,25 +148,26 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
   for (const bnb::ChildOut& child : eval.children) {
     const PathCode code = p.code.child(child.var, child.bit != 0);
     if (child.infeasible) {
-      ++stats_.dead_ends;
+      ++stats_.work[WorkItem::kDeadEnds];
       complete(code);
       continue;
     }
     if (config_.enable_elimination && child.bound >= incumbent_) {
-      ++stats_.eliminated;
+      ++stats_.work[WorkItem::kEliminated];
       complete(code);
       continue;
     }
     if (table_.covered(code)) {
-      ++stats_.covered_skips;
+      ++stats_.work[WorkItem::kCoveredSkips];
       continue;
     }
+    ++stats_.work[WorkItem::kPoolPushes];
     pool_.push(bnb::Subproblem{code, child.bound});
   }
 }
 
 void BnbWorker::complete(const PathCode& code) {
-  ++stats_.completions;
+  ++stats_.work[WorkItem::kCompletions];
   last_local_completion_ = code;
   env_->note_completion(code);
   const CodeSet::InsertResult r = table_.insert(code);
@@ -186,24 +188,26 @@ void BnbWorker::complete(const PathCode& code) {
 void BnbWorker::absorb_incumbent(double value) {
   if (value < incumbent_) {
     incumbent_ = value;
-    ++stats_.incumbent_updates;
+    ++stats_.work[WorkItem::kIncumbentUpdates];
     prune_pool_by_bound();
   }
 }
 
 void BnbWorker::prune_pool_by_bound() {
   if (!config_.enable_elimination) return;
+  stats_.work[WorkItem::kSweepEntriesScanned] += pool_.size();
   const auto removed = pool_.prune_above(incumbent_);
   for (const bnb::Subproblem& p : removed) {
-    ++stats_.eliminated;
+    ++stats_.work[WorkItem::kEliminated];
     complete(p.code);
   }
 }
 
 void BnbWorker::prune_pool_covered() {
+  stats_.work[WorkItem::kSweepEntriesScanned] += pool_.size();
   const auto removed = pool_.remove_if(
       [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
-  stats_.covered_skips += removed.size();
+  stats_.work[WorkItem::kCoveredSkips] += removed.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -264,8 +268,8 @@ void BnbWorker::send_report() {
         env_->rng().sample_without_replacement(peers.size(), fanout);
     // Every fanout copy shares the one batch list.
     for (const std::size_t i : picks) env_->send(peers[i], m);
-    ++stats_.reports_sent;
-    stats_.report_codes_sent += m.codes.size();
+    ++stats_.work[WorkItem::kReportsSent];
+    stats_.work[WorkItem::kReportCodesSent] += m.codes.size();
   }
   fresh_.clear();
   flush_armed_ = false;
@@ -284,13 +288,13 @@ void BnbWorker::send_table_gossip() {
   env_->charge(CostKind::kContraction,
                config_.costs.contract_per_node * static_cast<double>(table_.trie_nodes()));
   env_->send(peers[env_->rng().pick(peers.size())], std::move(m));
-  ++stats_.table_gossips_sent;
+  ++stats_.work[WorkItem::kTableGossipsSent];
 }
 
 void BnbWorker::arm_flush_timer() {
   if (flush_armed_) return;
   flush_armed_ = true;
-  env_->set_timer(TimerKind::kReportFlush, effective_flush_interval(), ++flush_gen_);
+  env_->set_timer(TimerKind::kReportFlush, config_.report_flush_interval, ++flush_gen_);
 }
 
 bool BnbWorker::maybe_terminate() {
@@ -320,40 +324,12 @@ void BnbWorker::enter_backoff(std::uint32_t steps) {
   steps = std::min(std::max(steps, 1u), config_.max_backoff_steps);
   env_->set_wait_hint(WaitHint::kIdle);
   env_->set_timer(TimerKind::kBackoff,
-                  effective_backoff() * static_cast<double>(steps), ++backoff_gen_);
-}
-
-void BnbWorker::observe_cost(double cost) {
-  if (cost <= 0.0) return;
-  if (cost_ewma_ == 0.0) {
-    cost_ewma_ = cost;
-  } else {
-    cost_ewma_ += config_.cost_ewma_alpha * (cost - cost_ewma_);
-  }
+                  config_.idle_backoff * static_cast<double>(steps), ++backoff_gen_);
 }
 
 double BnbWorker::effective_request_timeout() const {
   if (config_.model_adaptivity) return controller_.request_timeout();
-  if (!config_.adaptive_timeouts || cost_ewma_ == 0.0) {
-    return config_.work_request_timeout;
-  }
-  return std::max(config_.work_request_timeout,
-                  config_.adaptive_timeout_factor * cost_ewma_);
-}
-
-double BnbWorker::effective_backoff() const {
-  if (config_.model_adaptivity) return controller_.backoff();
-  if (!config_.adaptive_timeouts || cost_ewma_ == 0.0) return config_.idle_backoff;
-  return std::max(config_.idle_backoff, config_.adaptive_backoff_factor * cost_ewma_);
-}
-
-double BnbWorker::effective_flush_interval() const {
-  if (config_.model_adaptivity) return controller_.flush_interval();
-  if (!config_.adaptive_timeouts || cost_ewma_ == 0.0) {
-    return config_.report_flush_interval;
-  }
-  return std::max(config_.report_flush_interval,
-                  config_.adaptive_flush_factor * cost_ewma_);
+  return config_.work_request_timeout;
 }
 
 std::uint32_t BnbWorker::effective_report_batch() const {
@@ -392,7 +368,7 @@ void BnbWorker::seek_work() {
   const NodeId target = peers[env_->rng().pick(peers.size())];
   env_->charge(CostKind::kLoadBalance, config_.costs.lb_handle);
   env_->send(target, m);
-  ++stats_.work_requests_sent;
+  ++stats_.work[WorkItem::kWorkRequestsSent];
   request_outstanding_ = true;
   env_->set_wait_hint(WaitHint::kAwaitingWork);
   env_->set_timer(TimerKind::kRequestTimeout, effective_request_timeout(), request_gen_);
@@ -410,10 +386,11 @@ void BnbWorker::handle_work_request(const Message& msg) {
     if (config_.model_adaptivity) k = controller_.grant_size(k);
     reply.type = MsgType::kWorkGrant;
     reply.problems = pool_.extract_for_sharing(k);
+    stats_.work[WorkItem::kShareExtracted] += reply.problems.size();
     env_->charge(CostKind::kLoadBalance,
                  config_.costs.lb_per_problem * static_cast<double>(reply.problems.size()));
-    ++stats_.grants_given;
-    stats_.problems_given += reply.problems.size();
+    ++stats_.work[WorkItem::kGrantsGiven];
+    stats_.work[WorkItem::kProblemsGiven] += reply.problems.size();
   } else {
     reply.type = MsgType::kWorkDeny;
     reply.busy = !pool_.empty();
@@ -425,7 +402,7 @@ void BnbWorker::handle_work_grant(const Message& msg) {
   env_->charge(CostKind::kLoadBalance,
                config_.costs.lb_handle +
                    config_.costs.lb_per_problem * static_cast<double>(msg.problems.size()));
-  ++stats_.grants_received;
+  ++stats_.work[WorkItem::kGrantsReceived];
   if (msg.request_id == request_gen_) request_outstanding_ = false;
   failed_attempts_ = 0;
   deny_streak_ = 0;
@@ -439,14 +416,15 @@ void BnbWorker::handle_work_grant(const Message& msg) {
 void BnbWorker::add_subproblem(bnb::Subproblem p, bool from_grant) {
   (void)from_grant;
   if (table_.covered(p.code)) {
-    ++stats_.covered_skips;
+    ++stats_.work[WorkItem::kCoveredSkips];
     return;
   }
   if (config_.enable_elimination && p.bound >= incumbent_) {
-    ++stats_.eliminated;
+    ++stats_.work[WorkItem::kEliminated];
     complete(p.code);
     return;
   }
+  ++stats_.work[WorkItem::kPoolPushes];
   pool_.push(std::move(p));
 }
 
@@ -473,7 +451,7 @@ std::size_t BnbWorker::pick_recovery_candidate(const std::vector<PathCode>& cand
       // Prefer the candidate sharing the longest decision prefix with the
       // last problem completed locally: nearby regions are most likely to be
       // ours to finish and least likely to collide with other recoverers.
-      if (stats_.completions == 0) {
+      if (stats_.work[WorkItem::kCompletions] == 0) {
         // No local history yet: fall back to the deepest (smallest) region —
         // if the suspicion is wrong, the duplicated work is minimal.
         std::size_t best = 0;
@@ -521,7 +499,7 @@ void BnbWorker::recover() {
     continue_work();
     return;
   }
-  ++stats_.recoveries;
+  ++stats_.work[WorkItem::kRecoveries];
   // Policy picks the first region to re-create; regions whose bound already
   // exceeds the incumbent are fathomed on the spot (that, too, completes
   // them), and the first survivor goes to the pool.
@@ -533,52 +511,15 @@ void BnbWorker::recover() {
     if (table_.covered(code)) continue;  // our own eliminations covered it
     const double bound = model_->bound_of(code);
     if (config_.enable_elimination && bound >= incumbent_) {
-      ++stats_.eliminated;
+      ++stats_.work[WorkItem::kEliminated];
       complete(code);
       continue;
     }
+    ++stats_.work[WorkItem::kPoolPushes];
     pool_.push(bnb::Subproblem{std::move(code), bound});
     break;
   }
   continue_work();
-}
-
-// ---------------------------------------------------------------------------
-// Work accounting
-// ---------------------------------------------------------------------------
-
-WorkLedger BnbWorker::work_snapshot() const {
-  WorkLedger w = ledger_;  // contraction codes/nodes accumulate in place
-  w[WorkItem::kExpansions] = stats_.expanded;
-  w[WorkItem::kEliminated] = stats_.eliminated;
-  w[WorkItem::kDeadEnds] = stats_.dead_ends;
-  w[WorkItem::kFeasibleLeaves] = stats_.feasible_leaves;
-  w[WorkItem::kCompletions] = stats_.completions;
-  w[WorkItem::kCoveredSkips] = stats_.covered_skips;
-  w[WorkItem::kReportsSent] = stats_.reports_sent;
-  w[WorkItem::kReportCodesSent] = stats_.report_codes_sent;
-  w[WorkItem::kTableGossipsSent] = stats_.table_gossips_sent;
-  w[WorkItem::kMsgsSent] = stats_.msgs_sent;
-  w[WorkItem::kMsgsReceived] = stats_.msgs_received;
-  w[WorkItem::kWireBytesSent] = stats_.bytes_sent;
-  w[WorkItem::kWireBytesReceived] = stats_.bytes_received;
-  w[WorkItem::kWorkRequestsSent] = stats_.work_requests_sent;
-  w[WorkItem::kGrantsReceived] = stats_.grants_received;
-  w[WorkItem::kDeniesReceived] = stats_.denies_received;
-  w[WorkItem::kRequestTimeouts] = stats_.request_timeouts;
-  w[WorkItem::kGrantsGiven] = stats_.grants_given;
-  w[WorkItem::kProblemsGiven] = stats_.problems_given;
-  w[WorkItem::kRecoveries] = stats_.recoveries;
-  w[WorkItem::kIncumbentUpdates] = stats_.incumbent_updates;
-  w[WorkItem::kIncarnations] = 1;
-  const bnb::PoolMaintStats& pm = pool_.maintenance();
-  w[WorkItem::kPoolPushes] = pm.pushes;
-  w[WorkItem::kPoolPops] = pm.pops;
-  w[WorkItem::kSweepEntriesScanned] = pm.sweep_entries_scanned;
-  w[WorkItem::kShareExtracted] = pm.share_extracted;
-  w[WorkItem::kControllerRetunes] = controller_.retunes();
-  for (int k = 0; k < kCostKinds; ++k) w.seconds[k] = stats_.time[k];
-  return w;
 }
 
 // ---------------------------------------------------------------------------
@@ -596,7 +537,7 @@ void BnbWorker::on_message(const Message& msg) {
       handle_work_grant(msg);
       break;
     case MsgType::kWorkDeny:
-      ++stats_.denies_received;
+      ++stats_.work[WorkItem::kDeniesReceived];
       env_->charge(CostKind::kLoadBalance, config_.costs.lb_handle);
       // Progress accounting accepts busy denies even when stale: a late
       // reply from a peer grinding a coarse node is exactly the situation
@@ -667,7 +608,7 @@ void BnbWorker::on_timer(TimerKind kind, std::uint64_t gen) {
       if (gen != request_gen_ || !request_outstanding_) return;
       request_outstanding_ = false;
       ++failed_attempts_;
-      ++stats_.request_timeouts;
+      ++stats_.work[WorkItem::kRequestTimeouts];
       continue_work();
       break;
     case TimerKind::kBackoff:

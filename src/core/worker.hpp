@@ -143,28 +143,14 @@ struct WorkerConfig {
   bool enable_elimination = true;        // l(v) >= U pruning
 
   // --- adaptive parameter control (paper Section 7 future work) ---
-  /// When enabled, the worker tracks an exponential moving average of the
-  /// node-expansion costs it observes and *raises* its waiting parameters to
-  /// match the granularity: request timeout, idle backoff, and report flush
-  /// interval each become max(configured value, factor * EWMA cost). This is
-  /// the paper's proposed "flexible scheme for adapting parameters to
-  /// runtime informations, such as ... execution time per problem"; without
-  /// it, coarse-grained problems under fine-grained timeouts misread busy
-  /// peers as dead ones (see E7/E15).
-  bool adaptive_timeouts = false;
-  double adaptive_timeout_factor = 2.5;  // request timeout vs mean node cost
-  double adaptive_backoff_factor = 0.5;
-  double adaptive_flush_factor = 25.0;
-  double cost_ewma_alpha = 0.1;
-
-  /// Cost-model-driven adaptivity (supersedes adaptive_timeouts; keep both
-  /// so benches can compare the schemes). When enabled the CostController
-  /// steers the request timeout, report batch, and grant sizing from the
-  /// EWMA-smoothed expansion cost with hysteresis — and deliberately leaves
-  /// the idle backoff and flush interval at their configured base (see
-  /// cost_model.hpp for why that asymmetry recovers the efficiency the
-  /// adaptive_timeouts scheme loses). Takes precedence over
-  /// adaptive_timeouts when both are set.
+  /// The paper's proposed "flexible scheme for adapting parameters to
+  /// runtime informations, such as ... execution time per problem": when
+  /// enabled, the CostController steers the request timeout, report batch,
+  /// and grant sizing from the EWMA-smoothed expansion cost with hysteresis,
+  /// and deliberately leaves the idle backoff and flush interval at their
+  /// configured base (see cost_model.hpp for why). Without it, coarse-grained
+  /// problems under fine-grained timeouts misread busy peers as dead ones
+  /// (see E7/E15).
   bool model_adaptivity = false;
   CostModelConfig cost_model;
 
@@ -174,72 +160,16 @@ struct WorkerConfig {
   ProtocolCosts costs;
 };
 
-/// Per-worker measurements; times are virtual seconds in the simulator and
-/// wall seconds in the real-time runtime.
+/// Per-worker measurements: the work ledger — every counter plus the five
+/// CostKind time buckets, in virtual seconds in the simulator and wall
+/// seconds in the real-time runtime — and the local termination-detection
+/// instant. The worker counts its own work; hosts charge time and count
+/// messages and wire bytes into the same ledger.
 struct WorkerStats {
-  double time[kCostKinds] = {0, 0, 0, 0, 0};
-
-  std::uint64_t expanded = 0;
-  std::uint64_t eliminated = 0;       // fathomed by bound
-  std::uint64_t dead_ends = 0;
-  std::uint64_t feasible_leaves = 0;
-  std::uint64_t completions = 0;      // codes passed to complete()
-  std::uint64_t covered_skips = 0;    // pool/grant entries dropped as already completed
-
-  std::uint64_t reports_sent = 0;
-  std::uint64_t report_codes_sent = 0;
-  std::uint64_t table_gossips_sent = 0;
-
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msgs_received = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_received = 0;
-
-  std::uint64_t work_requests_sent = 0;
-  std::uint64_t grants_received = 0;
-  std::uint64_t denies_received = 0;
-  std::uint64_t request_timeouts = 0;
-  std::uint64_t grants_given = 0;
-  std::uint64_t problems_given = 0;
-
-  std::uint64_t recoveries = 0;           // complement-pick events
-  std::uint64_t incumbent_updates = 0;
-
-  double halted_at = -1.0;  // local termination-detection instant
-
-  [[nodiscard]] double busy_total() const {
-    return time[0] + time[1] + time[2] + time[3];
-  }
-
-  /// Field-wise accumulation of every time and counter (halted_at is an
-  /// instant, not a quantity, and is left untouched). Lives next to the
-  /// fields so a new counter cannot be forgotten here unnoticed; harnesses
-  /// use it to fold a crashed incarnation's stats into its successor's.
-  void add(const WorkerStats& other) {
-    for (int k = 0; k < kCostKinds; ++k) time[k] += other.time[k];
-    expanded += other.expanded;
-    eliminated += other.eliminated;
-    dead_ends += other.dead_ends;
-    feasible_leaves += other.feasible_leaves;
-    completions += other.completions;
-    covered_skips += other.covered_skips;
-    reports_sent += other.reports_sent;
-    report_codes_sent += other.report_codes_sent;
-    table_gossips_sent += other.table_gossips_sent;
-    msgs_sent += other.msgs_sent;
-    msgs_received += other.msgs_received;
-    bytes_sent += other.bytes_sent;
-    bytes_received += other.bytes_received;
-    work_requests_sent += other.work_requests_sent;
-    grants_received += other.grants_received;
-    denies_received += other.denies_received;
-    request_timeouts += other.request_timeouts;
-    grants_given += other.grants_given;
-    problems_given += other.problems_given;
-    recoveries += other.recoveries;
-    incumbent_updates += other.incumbent_updates;
-  }
+  WorkLedger work;
+  double halted_at = -1.0;
 };
+static_assert(WorkLedger::kTimeKinds == kCostKinds);
 
 /// Environment the worker runs in. Implementations: sim::SimCluster
 /// (virtual time), rt::Cluster (threads), tests::ScriptedEnv.
@@ -312,13 +242,6 @@ class BnbWorker {
   [[nodiscard]] std::size_t fresh_count() const { return fresh_.size(); }
   [[nodiscard]] const CostController& controller() const { return controller_; }
 
-  /// The incarnation's work ledger, composed on demand from the stats block,
-  /// the worker-internal contraction counters, and the pool's maintenance
-  /// counters. Counts one incarnation; harnesses add() snapshots across
-  /// lives and workers (in canonical id order) and fill the redundant-work
-  /// fields from their canonical-order expansion merge.
-  [[nodiscard]] WorkLedger work_snapshot() const;
-
  private:
   // -- scheduling --
   void continue_work();
@@ -382,12 +305,8 @@ class BnbWorker {
 
   void enter_backoff(std::uint32_t steps);
 
-  // Adaptive parameter state (see WorkerConfig::adaptive_timeouts).
-  double cost_ewma_ = 0.0;
-  void observe_cost(double cost);
+  // Waiting parameters, steered by the controller under model_adaptivity.
   [[nodiscard]] double effective_request_timeout() const;
-  [[nodiscard]] double effective_backoff() const;
-  [[nodiscard]] double effective_flush_interval() const;
   [[nodiscard]] std::uint32_t effective_report_batch() const;
 
   // Cost-model state (see WorkerConfig::model_adaptivity). The controller
@@ -395,10 +314,9 @@ class BnbWorker {
   // keeps the ledger's retune counter meaningful in benches); its outputs
   // steer the worker only when model_adaptivity is set.
   CostController controller_;
-  WorkLedger ledger_;  // worker-internal counters (contraction work)
   void note_contraction(std::uint64_t codes, std::uint64_t nodes) {
-    ledger_[WorkItem::kContractionCodes] += codes;
-    ledger_[WorkItem::kContractionNodes] += nodes;
+    stats_.work[WorkItem::kContractionCodes] += codes;
+    stats_.work[WorkItem::kContractionNodes] += nodes;
   }
 
   // Stall detection (see WorkerConfig::stall_recovery_factor).

@@ -209,8 +209,9 @@ class Incarnation final : public core::IWorkerEnv {
       if (stopped()) break;
       if (auto* in = std::get_if<InboundMsg>(&e)) {
         if (!worker_->halted()) {
-          worker_->stats().msgs_received++;
-          worker_->stats().bytes_received += in->bytes;
+          core::WorkLedger& work = worker_->stats().work;
+          ++work[core::WorkItem::kMsgsReceived];
+          work[core::WorkItem::kWireBytesReceived] += in->bytes;
           worker_->on_message(in->msg);
         }
       } else {
@@ -311,24 +312,16 @@ class WorkerHost {
   }
   [[nodiscard]] const Incarnation* current() const { return current_.get(); }
 
-  /// Current incarnation's stats plus everything crashed incarnations spent
-  /// (the paper's aggregates cover crashed processors' time too).
-  [[nodiscard]] core::WorkerStats merged_stats() const {
+  /// Work ledger across all incarnations plus the current incarnation's
+  /// halt instant, mirroring SimCluster's merge (the paper's aggregates cover
+  /// crashed processors' time too; kIncarnations counts one per life).
+  [[nodiscard]] core::WorkerStats lifetime_stats() const {
     core::WorkerStats total;
-    for (const auto& inc : retired_) total.add(inc->worker().stats());
+    for (const auto& inc : retired_) total.work.add(inc->worker().stats().work);
     if (current_) {
-      total.add(current_->worker().stats());
+      total.work.add(current_->worker().stats().work);
       total.halted_at = current_->worker().stats().halted_at;
     }
-    return total;
-  }
-
-  /// Work ledger across all incarnations, mirroring SimCluster's
-  /// merged_ledger (kIncarnations counts one per life).
-  [[nodiscard]] core::WorkLedger merged_ledger() const {
-    core::WorkLedger total;
-    for (const auto& inc : retired_) total.add(inc->worker().work_snapshot());
-    if (current_) total.add(current_->worker().work_snapshot());
     return total;
   }
 
@@ -460,8 +453,9 @@ void Incarnation::send(core::NodeId to, core::Message msg) {
   // delta state is this incarnation's own and is touched only by its thread.
   support::ByteWriter w;
   host_->cluster_->codec_.encode(msg, &delta_, w);
-  worker_->stats().msgs_sent++;
-  worker_->stats().bytes_sent += w.size();
+  core::WorkLedger& work = worker_->stats().work;
+  ++work[core::WorkItem::kMsgsSent];
+  work[core::WorkItem::kWireBytesSent] += w.size();
   host_->cluster_->transport_send(host_->id(), to, std::move(w));
 }
 
@@ -476,7 +470,7 @@ void Incarnation::set_timer(core::TimerKind kind, double delay, std::uint64_t ge
 
 void Incarnation::charge(core::CostKind kind, double seconds) {
   if (seconds <= 0.0) return;
-  worker_->stats().time[static_cast<int>(kind)] += seconds;
+  worker_->stats().work.seconds[static_cast<int>(kind)] += seconds;
   const double scale = host_->cluster_->config_.time_scale;
   if (kind == core::CostKind::kBB && scale > 0.0) {
     // Emulate the computation (model costs are virtual seconds). A crash
@@ -738,9 +732,8 @@ RtResult RtCluster::run() {
   std::uint32_t halted = 0;
   ExpansionMap merged;
   for (auto& host : hosts_) {
-    result.workers.push_back(host->merged_stats());
-    result.worker_ledgers.push_back(host->merged_ledger());
-    result.work.add(result.worker_ledgers.back());
+    result.workers.push_back(host->lifetime_stats());
+    result.work.add(result.workers.back().work);
     result.crashed.push_back(host->ever_crashed());
     result.incarnations_per_worker.push_back(host->incarnation_count());
     result.report_streams_per_worker.push_back(host->report_streams());
@@ -759,9 +752,7 @@ RtResult RtCluster::run() {
     }
   }
   result.all_live_halted = live > 0 && live == halted;
-  for (const core::WorkerStats& stats : result.workers) {
-    result.total_expanded += stats.expanded;
-  }
+  result.total_expanded = result.work[core::WorkItem::kExpansions];
   result.unique_expanded = merged.size();
   result.redundant_expansions = result.total_expanded - result.unique_expanded;
   result.work[core::WorkItem::kRedundantExpansions] = result.redundant_expansions;

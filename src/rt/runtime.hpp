@@ -83,13 +83,12 @@ struct RtResult {
   bool solution_found = false;
   double solution = bnb::kInfinity;
   double wall_seconds = 0.0;
-  /// Per member, merged across every incarnation (crashed incarnations'
-  /// spend included), mirroring SimCluster's per-incarnation merge.
+  /// Per member, the work ledger merged across every incarnation (crashed
+  /// incarnations' spend included) and the current incarnation's halt
+  /// instant, plus the member-order aggregate of the ledgers. Real threads
+  /// make the *values* nondeterministic run to run; the composition mirrors
+  /// SimCluster's.
   std::vector<core::WorkerStats> workers;
-  /// Per-member work ledgers (all incarnations folded, member order) and
-  /// their member-order aggregate. Real threads make the *values*
-  /// nondeterministic run to run; the composition mirrors SimCluster's.
-  std::vector<core::WorkLedger> worker_ledgers;
   core::WorkLedger work;
   std::vector<bool> crashed;  // ever crash-injected
   std::vector<std::uint32_t> incarnations_per_worker;

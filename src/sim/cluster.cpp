@@ -59,20 +59,13 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   [[nodiscard]] double crash_time() const { return crash_time_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  /// Current incarnation's stats plus everything crashed incarnations spent
-  /// (the paper's aggregates cover crashed processors' time too).
-  [[nodiscard]] core::WorkerStats merged_stats() const {
-    core::WorkerStats total = prior_stats_;
-    total.add(worker_->stats());
-    total.halted_at = worker_->stats().halted_at;
-    return total;
-  }
-
-  /// Work ledger across all incarnations (crashed lives folded first, like
-  /// merged_stats; kIncarnations counts one per life).
-  [[nodiscard]] core::WorkLedger merged_ledger() const {
-    core::WorkLedger total = prior_ledger_;
-    total.add(worker_->work_snapshot());
+  /// Work ledger across all incarnations — crashed lives folded first, then
+  /// the current one — plus the current incarnation's halt instant (the
+  /// paper's aggregates cover crashed processors' time too; kIncarnations
+  /// counts one per life).
+  [[nodiscard]] core::WorkerStats lifetime_stats() const {
+    core::WorkerStats total{prior_ledger_, worker_->stats().halted_at};
+    total.work.add(worker_->stats().work);
     return total;
   }
 
@@ -114,8 +107,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   /// are dropped, local clock restarted at the revival instant.
   void revive() {
     FTBB_CHECK(!alive_);
-    prior_stats_.add(worker_->stats());
-    prior_ledger_.add(worker_->work_snapshot());
+    prior_ledger_.add(worker_->stats().work);
     ++epoch_;
     alive_ = true;
     started_ = true;
@@ -176,9 +168,9 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
         }
       }
     }
-    auto& stats = worker_->stats();
-    ++stats.msgs_sent;
-    stats.bytes_sent += bytes;
+    core::WorkLedger& work = worker_->stats().work;
+    ++work[core::WorkItem::kMsgsSent];
+    work[core::WorkItem::kWireBytesSent] += bytes;
     charge(core::CostKind::kComm,
            cluster_->config_.worker.costs.send_fixed +
                cluster_->config_.worker.costs.send_per_byte * static_cast<double>(bytes));
@@ -234,7 +226,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
 
   void charge(core::CostKind kind, double seconds) override {
     if (seconds <= 0.0) return;
-    worker_->stats().time[static_cast<int>(kind)] += seconds;
+    worker_->stats().work.seconds[static_cast<int>(kind)] += seconds;
     if (cluster_->config_.record_trace) {
       trace_.add(id_, busy_until_, busy_until_ + seconds, to_activity(kind));
     }
@@ -319,7 +311,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     const core::CostKind kind = (wait_hint_ == core::WaitHint::kAwaitingWork)
                                     ? core::CostKind::kLoadBalance
                                     : core::CostKind::kIdle;
-    worker_->stats().time[static_cast<int>(kind)] += dur;
+    worker_->stats().work.seconds[static_cast<int>(kind)] += dur;
     if (cluster_->config_.record_trace) {
       trace_.add(id_, from, to,
                  kind == core::CostKind::kLoadBalance ? trace::Activity::kLB
@@ -352,9 +344,9 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
       }
       if (std::holds_alternative<Inbound>(e)) {
         Inbound& in = std::get<Inbound>(e);
-        auto& stats = worker_->stats();
-        ++stats.msgs_received;
-        stats.bytes_received += in.bytes;
+        core::WorkLedger& work = worker_->stats().work;
+        ++work[core::WorkItem::kMsgsReceived];
+        work[core::WorkItem::kWireBytesReceived] += in.bytes;
         charge(core::CostKind::kComm,
                cluster_->config_.worker.costs.recv_fixed +
                    cluster_->config_.worker.costs.recv_per_byte *
@@ -383,8 +375,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   core::NodeId id_;
   support::Rng rng_;
   std::optional<core::BnbWorker> worker_;  // re-emplaced on revival
-  core::WorkerStats prior_stats_;          // spent by crashed incarnations
-  core::WorkLedger prior_ledger_;          // ditto, work-mix counters
+  core::WorkLedger prior_ledger_;          // spent by crashed incarnations
   std::uint64_t epoch_ = 0;                // incarnation counter
 
   bool alive_ = true;
@@ -578,10 +569,8 @@ ClusterResult SimCluster::collect() {
   for (auto& host : hosts_) {
     host->finalize(end_time);
     const core::BnbWorker& w = host->worker();
-    const core::WorkerStats merged = host->merged_stats();
-    res.workers.push_back(merged);
-    res.worker_ledgers.push_back(host->merged_ledger());
-    res.work.add(res.worker_ledgers.back());
+    res.workers.push_back(host->lifetime_stats());
+    res.work.add(res.workers.back().work);
     res.crashed.push_back(!host->alive());
     res.incumbents.push_back(w.incumbent());
     if (host->alive()) {
@@ -597,16 +586,13 @@ ClusterResult SimCluster::collect() {
       }
       res.final_table_bytes_total += w.table().encoded_bytes();
     }
-    for (int k = 0; k < core::kCostKinds; ++k) {
-      res.total_time[k] += merged.time[k];
-    }
-    res.total_expanded += merged.expanded;
-    res.total_completions += merged.completions;
-    res.total_report_codes += merged.report_codes_sent;
     res.wire.add(host->wire_stats());
     res.report_streams_per_worker.push_back(host->report_streams());
   }
   res.all_live_halted = live_total > 0 && live_halted == live_total;
+  // The same host-order sums as the work ledger's, so bit-identical to it.
+  for (int k = 0; k < core::kCostKinds; ++k) res.total_time[k] = res.work.seconds[k];
+  res.total_expanded = res.work[core::WorkItem::kExpansions];
   if (!res.all_live_halted) res.makespan = end_time;
 
   // Merge the per-host expansion maps. The totals and the redundant-cost sum

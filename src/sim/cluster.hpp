@@ -139,10 +139,10 @@ struct ClusterResult {
   bool solution_found = false;
 
   // -- per worker --
+  /// Per-worker ledgers with all incarnations folded, and each worker's
+  /// final halt instant (host-id order, so aggregation is canonical across
+  /// executors and thread counts).
   std::vector<core::WorkerStats> workers;
-  /// Per-worker work ledgers, all incarnations folded (host-id order, so
-  /// aggregation is canonical across executors and thread counts).
-  std::vector<core::WorkLedger> worker_ledgers;
   std::vector<bool> crashed;
   /// Final incumbent of each worker (+inf if none). The correctness theorem
   /// says every live worker that detected termination holds exactly the
@@ -150,13 +150,12 @@ struct ClusterResult {
   std::vector<double> incumbents;
 
   // -- aggregates over live + crashed workers --
+  /// Copies of work.seconds and work[kExpansions], kept by name for readers.
   double total_time[core::kCostKinds] = {0, 0, 0, 0, 0};
   std::uint64_t total_expanded = 0;
   std::uint64_t unique_expanded = 0;
   std::uint64_t redundant_expansions = 0;  // total - unique
   double redundant_cost = 0.0;             // virtual seconds spent re-expanding
-  std::uint64_t total_completions = 0;
-  std::uint64_t total_report_codes = 0;    // compression numerator
 
   /// Cluster-wide work-mix ledger: per-worker ledgers summed in host-id
   /// order, redundant-work fields filled from the canonical-order expansion

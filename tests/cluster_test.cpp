@@ -18,6 +18,7 @@ namespace {
 using bnb::BasicTree;
 using bnb::RandomTreeConfig;
 using bnb::TreeProblem;
+using core::WorkItem;
 
 /// Small tree + tight protocol timings so virtual runs stay fast.
 core::WorkerConfig fast_worker_config() {
@@ -77,7 +78,7 @@ TEST(Cluster, FourWorkersSolveTreeProblem) {
   // Work spread: most workers expanded something (with elimination the
   // effective tree can be too small to reach everyone before it is done).
   int active = 0;
-  for (const auto& w : res.workers) active += w.expanded > 0 ? 1 : 0;
+  for (const auto& w : res.workers) active += w.work[WorkItem::kExpansions] > 0 ? 1 : 0;
   EXPECT_GE(active, 3);
 }
 
@@ -134,7 +135,7 @@ TEST(Cluster, ReportsAreCompressed) {
   const ClusterResult res = SimCluster::run(problem, base_config(4, 7));
   ASSERT_TRUE(res.all_live_halted);
   // Code compression: fewer codes cross the wire than completions occur.
-  EXPECT_LT(res.total_report_codes, res.total_completions);
+  EXPECT_LT(res.work[WorkItem::kReportCodesSent], res.work[WorkItem::kCompletions]);
 }
 
 TEST(Cluster, LargerReportBatchesCompressBetter) {
@@ -152,10 +153,12 @@ TEST(Cluster, LargerReportBatchesCompressBetter) {
   const ClusterResult b = SimCluster::run(problem, large_batch);
   ASSERT_TRUE(a.all_live_halted);
   ASSERT_TRUE(b.all_live_halted);
-  const double ratio_small =
-      static_cast<double>(a.total_report_codes) / static_cast<double>(a.total_completions);
-  const double ratio_large =
-      static_cast<double>(b.total_report_codes) / static_cast<double>(b.total_completions);
+  auto codes_per_completion = [](const ClusterResult& r) {
+    return static_cast<double>(r.work[WorkItem::kReportCodesSent]) /
+           static_cast<double>(r.work[WorkItem::kCompletions]);
+  };
+  const double ratio_small = codes_per_completion(a);
+  const double ratio_large = codes_per_completion(b);
   EXPECT_LT(ratio_large, ratio_small);
   EXPECT_LT(ratio_large, 0.5);
 }
@@ -203,7 +206,8 @@ TEST(Cluster, CrashedWorkerRejoinsAsFreshIncarnationAndHalts) {
   EXPECT_FALSE(res.crashed[1]);
   EXPECT_DOUBLE_EQ(res.incumbents[1], tree.optimal_value());
   // Its reported stats fold in the crashed incarnation's spent time.
-  EXPECT_GT(res.workers[1].busy_total(), 0.0);
+  const double* spent = res.workers[1].work.seconds;
+  EXPECT_GT(spent[0] + spent[1] + spent[2] + spent[3], 0.0);
 }
 
 TEST(Cluster, RejoinAimedAtLiveWorkerIsIgnored) {
@@ -232,7 +236,7 @@ TEST(Cluster, Figure6AllButOneCrashNearTheEnd) {
   const ClusterResult res = SimCluster::run(problem, cfg);
   expect_solved(res, tree.optimal_value());
   // The survivor had to redo lost work.
-  EXPECT_GT(res.workers[0].recoveries + res.redundant_expansions, 0u);
+  EXPECT_GT(res.workers[0].work[WorkItem::kRecoveries] + res.redundant_expansions, 0u);
 }
 
 TEST(Cluster, SurvivesRootHolderCrashBeforeSharing) {
@@ -243,9 +247,7 @@ TEST(Cluster, SurvivesRootHolderCrashBeforeSharing) {
   const ClusterResult res = SimCluster::run(problem, cfg);
   expect_solved(res, tree.optimal_value());
   // Someone recovered the root problem from an empty table.
-  std::uint64_t recoveries = 0;
-  for (const auto& w : res.workers) recoveries += w.recoveries;
-  EXPECT_GT(recoveries, 0u);
+  EXPECT_GT(res.work[WorkItem::kRecoveries], 0u);
 }
 
 TEST(Cluster, SurvivesMessageLoss) {
@@ -351,7 +353,7 @@ TEST(Cluster, LateJoinersParticipateAndTerminate) {
   EXPECT_LT(res.makespan, baseline.makespan);
   // Every joiner contributed.
   int active = 0;
-  for (const auto& w : res.workers) active += w.expanded > 0 ? 1 : 0;
+  for (const auto& w : res.workers) active += w.work[WorkItem::kExpansions] > 0 ? 1 : 0;
   EXPECT_GE(active, 6);
 }
 
@@ -386,8 +388,8 @@ TEST(Cluster, WorkerCrashingBeforeJoiningIsIgnored) {
 
 TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
   // Coarse nodes + eager fixed timeouts: busy peers look dead and whole
-  // regions get duplicated. The adaptive scheme stretches its patience to
-  // the observed node cost.
+  // regions get duplicated. The cost-model controller stretches its
+  // patience to the observed node cost.
   BasicTree tree = test_tree(23, 601, /*cost_mean=*/0.5);
   TreeProblem problem(&tree, /*honor_bounds=*/false);
   ClusterConfig eager = base_config(4, 23);
@@ -397,7 +399,7 @@ TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
                                              // requester gives up
   eager.time_limit = 3e4;
   ClusterConfig adaptive = eager;
-  adaptive.worker.adaptive_timeouts = true;
+  adaptive.worker.model_adaptivity = true;
   const ClusterResult fixed_res = SimCluster::run(problem, eager);
   const ClusterResult adaptive_res = SimCluster::run(problem, adaptive);
   ASSERT_TRUE(fixed_res.all_live_halted);
@@ -410,11 +412,8 @@ TEST(Cluster, AdaptiveTimeoutsPreventSpuriousRecoveryOnCoarseNodes) {
   // before any node cost has been observed, so the counts only need to not
   // regress; the precise stretching contract is tested at the worker level
   // in worker_test.cpp.)
-  std::uint64_t fixed_timeouts = 0;
-  std::uint64_t adaptive_timeouts = 0;
-  for (const auto& w : fixed_res.workers) fixed_timeouts += w.request_timeouts;
-  for (const auto& w : adaptive_res.workers) adaptive_timeouts += w.request_timeouts;
-  EXPECT_LE(adaptive_timeouts, fixed_timeouts);
+  EXPECT_LE(adaptive_res.work[WorkItem::kRequestTimeouts],
+            fixed_res.work[WorkItem::kRequestTimeouts]);
   // Small endgame duplication is possible; ramp-up scale blowups are not.
   EXPECT_LT(adaptive_res.redundant_expansions, 50u);
 }
@@ -425,7 +424,7 @@ TEST(Cluster, AdaptiveTimeoutsStillRecoverFromRealCrashes) {
   const ClusterResult baseline = SimCluster::run(problem, base_config(4, 24));
   ASSERT_TRUE(baseline.all_live_halted);
   ClusterConfig cfg = base_config(4, 24);
-  cfg.worker.adaptive_timeouts = true;
+  cfg.worker.model_adaptivity = true;
   cfg.crashes = {{1, baseline.makespan * 0.4}, {2, baseline.makespan * 0.4}};
   const ClusterResult res = SimCluster::run(problem, cfg);
   expect_solved(res, tree.optimal_value());
@@ -485,7 +484,7 @@ TEST(Cluster, ShardedExecutorMatchesSequentialBitForBit) {
     EXPECT_EQ(seq.unique_expanded, par.unique_expanded);
     EXPECT_EQ(seq.redundant_expansions, par.redundant_expansions);
     EXPECT_EQ(seq.redundant_cost, par.redundant_cost);  // exact, not NEAR
-    EXPECT_EQ(seq.total_completions, par.total_completions);
+    EXPECT_EQ(seq.work.fingerprint(), par.work.fingerprint());
     EXPECT_EQ(seq.peak_table_bytes_total, par.peak_table_bytes_total);
     EXPECT_EQ(seq.peak_table_bytes_unique, par.peak_table_bytes_unique);
     EXPECT_EQ(seq.final_table_bytes_total, par.final_table_bytes_total);
@@ -495,12 +494,10 @@ TEST(Cluster, ShardedExecutorMatchesSequentialBitForBit) {
     EXPECT_EQ(seq.net.bytes_sent, par.net.bytes_sent);
     ASSERT_EQ(seq.workers.size(), par.workers.size());
     for (std::size_t w = 0; w < seq.workers.size(); ++w) {
-      for (int k = 0; k < core::kCostKinds; ++k) {
-        EXPECT_EQ(seq.workers[w].time[k], par.workers[w].time[k])
-            << "worker " << w << " kind " << k << " threads " << threads;
-      }
-      EXPECT_EQ(seq.workers[w].expanded, par.workers[w].expanded);
-      EXPECT_EQ(seq.workers[w].msgs_sent, par.workers[w].msgs_sent);
+      EXPECT_EQ(seq.workers[w].work.fingerprint(), par.workers[w].work.fingerprint())
+          << "worker " << w << " threads " << threads << "\n"
+          << seq.workers[w].work.to_string() << "\n"
+          << par.workers[w].work.to_string();
       EXPECT_EQ(seq.workers[w].halted_at, par.workers[w].halted_at);
       EXPECT_EQ(seq.incumbents[w], par.incumbents[w]);
       EXPECT_EQ(seq.crashed[w], par.crashed[w]);

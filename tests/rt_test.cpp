@@ -125,6 +125,19 @@ TEST(Rt, CrashedWorkerRejoinsAsFreshIncarnation) {
   // The bounce spawned a second incarnation and both threads were reaped.
   EXPECT_GE(res.incarnations_per_worker[1], 2u);
   EXPECT_EQ(res.reaped, res.incarnations);
+  // Each member's ledger folds every incarnation, and the members' ledgers
+  // sum to the run's apart from the harness-filled redundancy count.
+  core::WorkLedger sum;
+  for (std::size_t w = 0; w < res.workers.size(); ++w) {
+    EXPECT_EQ(res.workers[w].work[core::WorkItem::kIncarnations],
+              res.incarnations_per_worker[w])
+        << w;
+    sum.add(res.workers[w].work);
+  }
+  sum[core::WorkItem::kRedundantExpansions] = res.redundant_expansions;
+  EXPECT_EQ(sum.fingerprint(), res.work.fingerprint())
+      << sum.to_string() << "\n" << res.work.to_string();
+  EXPECT_EQ(res.total_expanded, res.work[core::WorkItem::kExpansions]);
 }
 
 TEST(Rt, ChurnArrivalsJoinLate) {
@@ -164,8 +177,8 @@ TEST(Rt, StatsAreCollected) {
   ASSERT_TRUE(res.all_live_halted);
   std::uint64_t total_expanded = 0;
   for (const auto& w : res.workers) {
-    total_expanded += w.expanded;
-    EXPECT_GE(w.time[0], 0.0);
+    total_expanded += w.work[core::WorkItem::kExpansions];
+    EXPECT_GE(w.work.seconds[0], 0.0);
   }
   // Every node of the tree was expanded at least once (bounds honored, so
   // some are eliminated; at minimum the feasible optimum path was walked).

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "bnb/sequential.hpp"
 #include "bnb/vertex_cover.hpp"
 
@@ -7,6 +10,29 @@ namespace ftbb::bnb {
 namespace {
 
 using core::PathCode;
+
+/// Reference minimum cover by edge branching, sharing no code with the
+/// model or its known optimum: take the first edge with no endpoint in the
+/// cover and try each endpoint. Exponential; for small graphs only.
+std::uint32_t edge_branching_min_cover(const Graph& g, std::vector<bool>& in,
+                                       std::uint32_t in_count, std::uint32_t best) {
+  if (in_count >= best) return best;
+  for (auto [a, b] : g.edges) {
+    if (in[a] || in[b]) continue;
+    for (const std::uint32_t v : {a, b}) {
+      in[v] = true;
+      best = edge_branching_min_cover(g, in, in_count + 1, best);
+      in[v] = false;
+    }
+    return best;
+  }
+  return in_count;
+}
+
+std::uint32_t edge_branching_min_cover(const Graph& g) {
+  std::vector<bool> in(g.n, false);
+  return edge_branching_min_cover(g, in, 0, g.n);
+}
 
 TEST(Graph, GnpIsDeterministic) {
   const Graph a = Graph::gnp(20, 0.3, 5);
@@ -43,6 +69,23 @@ TEST(VertexCover, KnownOptimaOnCompleteGraphs) {
     VertexCoverModel model(Graph::complete(n));
     const SeqResult res = solve_sequential(model);
     EXPECT_DOUBLE_EQ(res.best_value, n - 1.0) << "K_" << n;
+  }
+}
+
+TEST(VertexCover, KnownOptimaOnCorpusSizedGraphs) {
+  // The scenario corpus builds its vertex-cover workload as G(26, 0.3): the
+  // largest size for which the model computes its own known optimum. The
+  // optima are pinned, and edge branching must agree with them.
+  const double optimum[] = {17, 18, 17, 18, 17, 18};
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = Graph::gnp(26, 0.3, seed);
+    EXPECT_DOUBLE_EQ(edge_branching_min_cover(g), optimum[seed - 1]) << "seed " << seed;
+    VertexCoverModel model(g);
+    ASSERT_TRUE(model.known_optimal().has_value()) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(*model.known_optimal(), optimum[seed - 1]) << "seed " << seed;
+    const SeqResult res = solve_sequential(model);
+    ASSERT_TRUE(res.completed) << "seed " << seed;
+    EXPECT_DOUBLE_EQ(res.best_value, optimum[seed - 1]) << "seed " << seed;
   }
 }
 
@@ -89,19 +132,25 @@ class VertexCoverSolveTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(VertexCoverSolveTest, SequentialMatchesBruteForce) {
   const std::uint64_t seed = GetParam();
-  VertexCoverModel model(Graph::gnp(14, 0.3, seed));
+  const Graph g = Graph::gnp(14, 0.3, seed);
+  const double optimum = edge_branching_min_cover(g);
+  VertexCoverModel model(g);
   ASSERT_TRUE(model.known_optimal().has_value());
+  EXPECT_DOUBLE_EQ(*model.known_optimal(), optimum);
   const SeqResult res = solve_sequential(model);
   EXPECT_TRUE(res.completed);
-  EXPECT_DOUBLE_EQ(res.best_value, *model.known_optimal());
+  EXPECT_DOUBLE_EQ(res.best_value, optimum);
 }
 
 TEST_P(VertexCoverSolveTest, DenseGraphsMatchBruteForce) {
   const std::uint64_t seed = GetParam();
-  VertexCoverModel model(Graph::gnp(11, 0.6, seed + 100));
+  const Graph g = Graph::gnp(11, 0.6, seed + 100);
+  const double optimum = edge_branching_min_cover(g);
+  VertexCoverModel model(g);
   ASSERT_TRUE(model.known_optimal().has_value());
+  EXPECT_DOUBLE_EQ(*model.known_optimal(), optimum);
   const SeqResult res = solve_sequential(model);
-  EXPECT_DOUBLE_EQ(res.best_value, *model.known_optimal());
+  EXPECT_DOUBLE_EQ(res.best_value, optimum);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VertexCoverSolveTest,

@@ -125,7 +125,7 @@ TEST(Worker, SoloWithoutRootRecoversTheRootFromAnEmptyTable) {
   worker.on_start(/*with_root=*/false);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
-  EXPECT_GE(worker.stats().recoveries, 1u);
+  EXPECT_GE(worker.stats().work[WorkItem::kRecoveries], 1u);
 }
 
 TEST(Worker, BestCodeNamesAnOptimalLeaf) {
@@ -254,7 +254,7 @@ TEST(Worker, IncumbentAbsorbedAndPruned) {
   worker.on_message(deny);
   EXPECT_DOUBLE_EQ(worker.incumbent(), -1e30);
   EXPECT_TRUE(worker.pool().empty());
-  EXPECT_GT(worker.stats().eliminated, 0u);
+  EXPECT_GT(worker.stats().work[WorkItem::kEliminated], 0u);
 }
 
 TEST(Worker, RequestTimeoutsEscalateToRecovery) {
@@ -268,12 +268,12 @@ TEST(Worker, RequestTimeoutsEscalateToRecovery) {
   // table the stall threshold is further multiplied (a wrong suspicion would
   // duplicate the whole root problem). Keep firing timers until the worker
   // gives up on load balancing and complements.
-  for (int i = 0; i < 2000 && worker.stats().recoveries == 0; ++i) {
+  for (int i = 0; i < 2000 && worker.stats().work[WorkItem::kRecoveries] == 0; ++i) {
     ASSERT_TRUE(f.env.fire_next(worker));
   }
-  EXPECT_GE(worker.stats().work_requests_sent, 2u);
-  EXPECT_GE(worker.stats().request_timeouts, 2u);
-  EXPECT_GE(worker.stats().recoveries, 1u);
+  EXPECT_GE(worker.stats().work[WorkItem::kWorkRequestsSent], 2u);
+  EXPECT_GE(worker.stats().work[WorkItem::kRequestTimeouts], 2u);
+  EXPECT_GE(worker.stats().work[WorkItem::kRecoveries], 1u);
   EXPECT_FALSE(worker.pool().empty());  // recovered the root region
   // The stall gate held recovery back until the silence threshold.
   EXPECT_GE(f.env.clock,
@@ -313,7 +313,7 @@ TEST(Worker, GrantOfCoveredProblemIsDropped) {
   grant.problems.push_back(bnb::Subproblem{left, 0.0});
   worker.on_message(grant);
   EXPECT_TRUE(worker.pool().empty());
-  EXPECT_GT(worker.stats().covered_skips, 0u);
+  EXPECT_GT(worker.stats().work[WorkItem::kCoveredSkips], 0u);
 }
 
 TEST(Worker, PaperLiteralReportCompressionAlsoWorks) {
@@ -334,7 +334,7 @@ TEST(Worker, EliminationDisabledStillTerminates) {
   worker.on_start(true);
   ASSERT_TRUE(f.env.run_to_halt(worker));
   // Exhaustive traversal: every node expanded exactly once.
-  EXPECT_EQ(worker.stats().expanded, f.tree.size());
+  EXPECT_EQ(worker.stats().work[WorkItem::kExpansions], f.tree.size());
   EXPECT_DOUBLE_EQ(worker.incumbent(), f.tree.optimal_value());
 }
 
@@ -354,9 +354,10 @@ TEST(Worker, RecoveryPoliciesAllSolveSolo) {
 
 
 TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
-  // The adaptive scheme (Section 7 future work) raises the request timeout
-  // to factor * EWMA(node cost): after expanding coarse nodes, the worker
-  // must arm request-timeout timers far beyond the configured base.
+  // Cost-model adaptivity (Section 7 future work) raises the request
+  // timeout to base + timeout_safety * EWMA(node cost): after expanding
+  // coarse nodes, the worker must arm request-timeout timers far beyond the
+  // configured base.
   RandomTreeConfig tree_cfg;
   tree_cfg.target_nodes = 31;
   tree_cfg.seed = 16;
@@ -370,8 +371,7 @@ TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
     env.peer_list = {1};
     WorkerConfig config;
     config.work_request_timeout = 0.02;  // base, far below node cost
-    config.adaptive_timeouts = adaptive;
-    config.adaptive_timeout_factor = 2.5;
+    config.model_adaptivity = adaptive;
     BnbWorker worker(0, &problem, config, &env);
     worker.on_start(/*with_root=*/false);
     // Hand it a single subtree; once finished it must seek work again.
@@ -389,12 +389,12 @@ TEST(Worker, AdaptiveTimeoutStretchesWithObservedNodeCost) {
       for (const auto& t : env.timers) {
         if (t.kind == TimerKind::kRequestTimeout) last_request_delay = t.delay;
       }
-      if (last_request_delay > 0.0 && worker.stats().expanded > 5) break;
+      if (last_request_delay > 0.0 && worker.stats().work[WorkItem::kExpansions] > 5) break;
     }
-    ASSERT_GT(worker.stats().expanded, 5u);
+    ASSERT_GT(worker.stats().work[WorkItem::kExpansions], 5u);
     ASSERT_GT(last_request_delay, 0.0);
     if (adaptive) {
-      // ~2.5 * 0.5s, modulo the EWMA's spread.
+      // ~0.02 + 2.0 * 0.5s, modulo the EWMA's spread.
       EXPECT_GT(last_request_delay, 0.5);
     } else {
       EXPECT_DOUBLE_EQ(last_request_delay, 0.02);
