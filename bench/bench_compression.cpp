@@ -16,6 +16,7 @@
 // traffic in the legacy encoding as it goes (WireStats.flat_bytes), so one
 // run yields both sides of the comparison. Results land in
 // BENCH_compression.json. `--smoke` shrinks the tree and the sweeps for CI.
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -140,7 +141,7 @@ int main(int argc, char** argv) {
   FILE* json = bench::open_bench_json("BENCH_compression.json", "compression");
   if (json == nullptr) return 1;
   std::fprintf(json,
-               "  \"workload\": \"basic-tree-%u\",\n  \"smoke\": %s,\n"
+               "  \"workload\": \"basic-tree-%" PRIu64 "\",\n  \"smoke\": %s,\n"
                "  \"v1_reduces_report_bytes_everywhere\": %s,\n  \"cells\": [\n",
                tree_cfg.target_nodes, smoke ? "true" : "false",
                v1_wins_everywhere ? "true" : "false");

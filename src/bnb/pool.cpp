@@ -57,33 +57,9 @@ Subproblem ActivePool::pop() {
   return top;
 }
 
-template <typename Victim>
-std::vector<Subproblem> ActivePool::remove_where(Victim victim) {
-  std::vector<Subproblem> out;
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < heap_.size(); ++read) {
-    if (victim(read)) {
-      out.push_back(std::move(heap_[read].item));
-    } else {
-      if (write != read) heap_[write] = std::move(heap_[read]);
-      ++write;
-    }
-  }
-  if (!out.empty()) {
-    heap_.resize(write);
-    rebuild();
-  }
-  return out;
-}
-
 std::vector<Subproblem> ActivePool::prune_above(double threshold) {
   return remove_where(
       [&](std::size_t i) { return heap_[i].item.bound >= threshold; });
-}
-
-std::vector<Subproblem> ActivePool::remove_if(
-    const std::function<bool(const Subproblem&)>& victim) {
-  return remove_where([&](std::size_t i) { return victim(heap_[i].item); });
 }
 
 std::vector<Subproblem> ActivePool::extract_for_sharing(std::size_t k) {

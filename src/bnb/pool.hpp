@@ -17,7 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "bnb/problem.hpp"
@@ -49,7 +49,11 @@ class ActivePool {
   std::vector<Subproblem> prune_above(double threshold);
 
   /// Removes every entry matching `victim`; returns them in heap-array order.
-  std::vector<Subproblem> remove_if(const std::function<bool(const Subproblem&)>& victim);
+  /// `victim` is called once per entry, in heap-array order.
+  template <typename Victim>
+  std::vector<Subproblem> remove_if(Victim victim) {
+    return remove_where([&](std::size_t i) { return victim(heap_[i].item); });
+  }
 
   /// Extracts up to `k` problems for a work grant, preferring the
   /// shallowest entries: shallow subproblems represent the largest subtrees
@@ -85,7 +89,23 @@ class ActivePool {
   /// once per index, in array order), compacts the survivors in place and
   /// re-heapifies — the seed heap's layout transition.
   template <typename Victim>
-  std::vector<Subproblem> remove_where(Victim victim);
+  std::vector<Subproblem> remove_where(Victim victim) {
+    std::vector<Subproblem> out;
+    std::size_t write = 0;
+    for (std::size_t read = 0; read < heap_.size(); ++read) {
+      if (victim(read)) {
+        out.push_back(std::move(heap_[read].item));
+      } else {
+        if (write != read) heap_[write] = std::move(heap_[read]);
+        ++write;
+      }
+    }
+    if (!out.empty()) {
+      heap_.resize(write);
+      rebuild();
+    }
+    return out;
+  }
 
   SelectRule rule_;
   std::vector<Entry> heap_;  // heap_[0] = next pop

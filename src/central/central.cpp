@@ -5,6 +5,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "core/expansion_ledger.hpp"
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "core/path_code.hpp"
@@ -119,7 +120,7 @@ struct Worker {
   double incumbent = bnb::kInfinity;
   std::uint64_t expanded = 0;
   /// Codes this worker expanded (worker-context only; merged at the end).
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> expansions;
+  core::ExpansionLedger expansions;
   /// Incarnation counter: closures belonging to a crashed incarnation must
   /// not resume after a revive (their batch state is stale).
   std::uint64_t epoch = 0;
@@ -200,7 +201,7 @@ struct Worker {
     }
     const bnb::NodeEval eval = sim->model.eval(p.code);
     ++expanded;
-    ++expansions[p.code];
+    expansions.add(p.code, eval.cost);
     sim->kernel.after(
         eval.cost, static_cast<sim::OwnerId>(id),
         [this, batch_id, todo = std::move(todo),
@@ -416,13 +417,13 @@ CentralResult CentralSim::run_with_faults(
   result.makespan =
       sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
   result.hit_time_limit = kr.hit_time_limit;
-  // Merge per-worker expansion maps; totals are interleaving-independent.
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> merged;
+  // Merge per-worker expansion ledgers; totals are interleaving-independent.
+  core::ExpansionLedger merged;
   for (const auto& w : sim.workers) {
     result.total_expanded += w->expanded;
-    for (const auto& [code, count] : w->expansions) merged[code] += count;
+    merged.merge(w->expansions);
   }
-  result.unique_expanded = merged.size();
+  result.unique_expanded = merged.totals().unique;
   result.redundant_expansions = result.total_expanded - result.unique_expanded;
   result.manager_messages = sim.manager_messages;
   result.reissues = sim.reissues;

@@ -428,8 +428,4 @@ class PathCode {
   } rep_;
 };
 
-struct PathCodeHash {
-  std::size_t operator()(const PathCode& c) const { return c.hash(); }
-};
-
 }  // namespace ftbb::core

@@ -4,6 +4,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "core/expansion_ledger.hpp"
 #include "core/frame.hpp"
 #include "core/messages.hpp"
 #include "core/path_code.hpp"
@@ -106,7 +107,7 @@ struct Machine {
   std::uint64_t request_gen = 0;
   std::uint64_t expanded = 0;
   /// Machine-context-only bookkeeping, merged when the run ends.
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> expansions;
+  core::ExpansionLedger expansions;
   std::uint64_t donations_made = 0;
   std::uint64_t donation_redos = 0;
   /// Incarnation counter: a crashed incarnation's expansion continuation and
@@ -218,7 +219,7 @@ struct Machine {
     }
     const bnb::NodeEval eval = sim->model.eval(task.sub.code);
     ++expanded;
-    ++expansions[task.sub.code];
+    expansions.add(task.sub.code, eval.cost);
     sim->kernel.after(eval.cost, static_cast<sim::OwnerId>(id),
                       [this, task = std::move(task), eval, e = epoch] {
       if (e != epoch) return;  // expansion begun by a crashed incarnation
@@ -420,14 +421,14 @@ DibResult DibSim::run_with_faults(const bnb::IProblemModel& model,
   result.makespan = sim.concluded ? sim.concluded_at : std::min(sim.kernel.now(), time_limit);
   result.hit_time_limit = kr.hit_time_limit;
   // Merge per-machine bookkeeping; totals are interleaving-independent.
-  std::unordered_map<PathCode, std::uint32_t, core::PathCodeHash> merged;
+  core::ExpansionLedger merged;
   for (const auto& m : sim.machines) {
     result.total_expanded += m->expanded;
     result.donations += m->donations_made;
     result.donation_redos += m->donation_redos;
-    for (const auto& [code, count] : m->expansions) merged[code] += count;
+    merged.merge(m->expansions);
   }
-  result.unique_expanded = merged.size();
+  result.unique_expanded = merged.totals().unique;
   result.redundant_expansions = result.total_expanded - result.unique_expanded;
   result.net = sim.net->stats();
   for (const auto& m : sim.machines) result.expanded_per_machine.push_back(m->expanded);

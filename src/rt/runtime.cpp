@@ -10,9 +10,9 @@
 #include <optional>
 #include <queue>
 #include <thread>
-#include <unordered_map>
 #include <variant>
 
+#include "core/expansion_ledger.hpp"
 #include "core/messages.hpp"
 #include "fault/driver.hpp"
 #include "support/check.hpp"
@@ -34,9 +34,6 @@ struct InboundMsg {
 };
 struct Poison {};
 using Event = std::variant<InboundMsg, TimerFire, Poison>;
-
-using ExpansionMap =
-    std::unordered_map<core::PathCode, std::uint32_t, core::PathCodeHash>;
 
 /// Unbounded MPSC mailbox; one consumer (the incarnation's thread).
 class Mailbox {
@@ -173,7 +170,9 @@ class Incarnation final : public core::IWorkerEnv {
   Mailbox& mailbox() { return mailbox_; }
   core::BnbWorker& worker() { return *worker_; }
   [[nodiscard]] const core::BnbWorker& worker() const { return *worker_; }
-  [[nodiscard]] const ExpansionMap& expansions() const { return expansions_; }
+  [[nodiscard]] const core::ExpansionLedger& expansions() const {
+    return expansions_;
+  }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
   /// Whether this incarnation opened a v1 report delta chain (sent at least
   /// one report/gossip batch). Post-run observer: read after join_thread().
@@ -196,8 +195,7 @@ class Incarnation final : public core::IWorkerEnv {
   void set_wait_hint(core::WaitHint hint) override { (void)hint; }
   void notify_halted() override;
   void note_expansion(const core::PathCode& code, double cost) override {
-    (void)cost;
-    ++expansions_[code];
+    expansions_.add(code, cost);
   }
 
  private:
@@ -226,7 +224,7 @@ class Incarnation final : public core::IWorkerEnv {
   support::Rng rng_;
   Mailbox mailbox_;
   std::optional<core::BnbWorker> worker_;
-  ExpansionMap expansions_;
+  core::ExpansionLedger expansions_;
   std::thread thread_;
   core::ReportDeltaState delta_;  // dies with the incarnation: a revived
                                   // worker never deltas against a dead
@@ -325,15 +323,9 @@ class WorkerHost {
     return total;
   }
 
-  void merge_expansions(ExpansionMap& into) const {
-    for (const auto& inc : retired_) {
-      for (const auto& [code, count] : inc->expansions()) into[code] += count;
-    }
-    if (current_) {
-      for (const auto& [code, count] : current_->expansions()) {
-        into[code] += count;
-      }
-    }
+  void merge_expansions(core::ExpansionLedger& into) const {
+    for (const auto& inc : retired_) into.merge(inc->expansions());
+    if (current_) into.merge(current_->expansions());
   }
 
  private:
@@ -730,7 +722,7 @@ RtResult RtCluster::run() {
 
   std::uint32_t live = 0;
   std::uint32_t halted = 0;
-  ExpansionMap merged;
+  core::ExpansionLedger merged;
   for (auto& host : hosts_) {
     result.workers.push_back(host->lifetime_stats());
     result.work.add(result.workers.back().work);
@@ -753,7 +745,7 @@ RtResult RtCluster::run() {
   }
   result.all_live_halted = live > 0 && live == halted;
   result.total_expanded = result.work[core::WorkItem::kExpansions];
-  result.unique_expanded = merged.size();
+  result.unique_expanded = merged.totals().unique;
   result.redundant_expansions = result.total_expanded - result.unique_expanded;
   result.work[core::WorkItem::kRedundantExpansions] = result.redundant_expansions;
   result.net.messages_sent = net_sent_.load();

@@ -3,26 +3,15 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <variant>
 
+#include "core/expansion_ledger.hpp"
 #include "support/check.hpp"
 
 namespace ftbb::sim {
 
 namespace {
-
-/// Per-host expansion bookkeeping. The model is a pure function of the code,
-/// so the cost is identical on every expansion of the same code; collect()
-/// merges the per-host maps and derives the redundant totals in canonical
-/// code order — independent of event interleaving and thread count.
-struct ExpansionRecord {
-  std::uint32_t count = 0;
-  double cost = 0.0;
-};
-using ExpansionMap =
-    std::unordered_map<core::PathCode, ExpansionRecord, core::PathCodeHash>;
 
 trace::Activity to_activity(core::CostKind kind) {
   switch (kind) {
@@ -271,9 +260,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   }
 
   void note_expansion(const core::PathCode& code, double cost) override {
-    auto& record = expansions_[code];
-    ++record.count;
-    record.cost = cost;  // pure function of the code, identical every time
+    expansions_.add(code, cost);
   }
 
   void note_completion(const core::PathCode& code) override {
@@ -281,7 +268,9 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
     cluster_->union_table_.insert(code);
   }
 
-  [[nodiscard]] const ExpansionMap& expansions() const { return expansions_; }
+  [[nodiscard]] const core::ExpansionLedger& expansions() const {
+    return expansions_;
+  }
   [[nodiscard]] const trace::Timeline& trace() const { return trace_; }
 
   /// Unaccounted tail time for workers that never halted (hit a limit).
@@ -395,7 +384,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   core::ReportDeltaState delta_;   // per-incarnation; reset on revive()
   WireStats wire_;                 // all incarnations of this worker
   std::uint32_t report_streams_ = 0;  // incarnations that opened a v1 chain
-  ExpansionMap expansions_;   // every expansion this host performed
+  core::ExpansionLedger expansions_;  // every expansion this host performed
   trace::Timeline trace_;     // host-local; merged in collect()
 };
 
@@ -595,34 +584,17 @@ ClusterResult SimCluster::collect() {
   res.total_expanded = res.work[core::WorkItem::kExpansions];
   if (!res.all_live_halted) res.makespan = end_time;
 
-  // Merge the per-host expansion maps. The totals and the redundant-cost sum
-  // are computed in canonical code order, so they are bit-identical across
-  // executors and thread counts (no dependence on which host's expansion of
-  // a shared code happened to run first).
-  ExpansionMap merged;
-  std::uint64_t noted_expansions = 0;
-  for (const auto& host : hosts_) {
-    for (const auto& [code, record] : host->expansions()) {
-      auto& m = merged[code];
-      m.count += record.count;
-      m.cost = record.cost;
-      noted_expansions += record.count;
-    }
-  }
-  res.unique_expanded = merged.size();
-  res.redundant_expansions = noted_expansions - res.unique_expanded;
-  std::vector<std::pair<const core::PathCode*, const ExpansionRecord*>> ordered;
-  ordered.reserve(merged.size());
-  for (const auto& [code, record] : merged) {
-    if (record.count > 1) ordered.emplace_back(&code, &record);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  double redundant_cost = 0.0;
-  for (const auto& [code, record] : ordered) {
-    redundant_cost += static_cast<double>(record->count - 1) * record->cost;
-  }
-  res.redundant_cost = redundant_cost;
+  // Merge the per-host expansion ledgers. The merged trie does not depend on
+  // the merge order, and its preorder walk sums the redundant cost in
+  // PathCode order, so the totals are bit-identical across executors and
+  // thread counts (no dependence on which host's expansion of a shared code
+  // happened to run first).
+  core::ExpansionLedger merged;
+  for (const auto& host : hosts_) merged.merge(host->expansions());
+  const core::ExpansionLedger::Totals expansions = merged.totals();
+  res.unique_expanded = expansions.unique;
+  res.redundant_expansions = expansions.total - expansions.unique;
+  res.redundant_cost = expansions.redundant_cost;
   res.work[core::WorkItem::kRedundantExpansions] = res.redundant_expansions;
   res.work.redundant_seconds = res.redundant_cost;
 

@@ -158,8 +158,8 @@ struct ClusterResult {
   double redundant_cost = 0.0;             // virtual seconds spent re-expanding
 
   /// Cluster-wide work-mix ledger: per-worker ledgers summed in host-id
-  /// order, redundant-work fields filled from the canonical-order expansion
-  /// merge. Bit-identical sequential vs sharded.
+  /// order, redundant-work fields filled from the merged expansion trie's
+  /// preorder walk (PathCode order). Bit-identical sequential vs sharded.
   core::WorkLedger work;
 
   // -- storage (Table 1) --
@@ -241,11 +241,11 @@ class SimCluster {
   std::vector<std::uint32_t> join_pos_;  // node id -> index in joined_
   std::uint64_t membership_version_ = 0;
 
-  // Cross-worker accounting. Expansion bookkeeping is per-host (merged
-  // order-independently in collect()); the union completion table is the one
-  // genuinely shared structure — its contracted form is canonical in the
-  // completion *set*, so concurrent insertion order cannot leak into the
-  // sampled byte counts.
+  // Cross-worker accounting. Expansion bookkeeping is a per-host trie
+  // (core::ExpansionLedger, merged order-independently in collect()); the
+  // union completion table is the one genuinely shared structure — its
+  // contracted form is canonical in the completion *set*, so concurrent
+  // insertion order cannot leak into the sampled byte counts.
   std::mutex completions_mu_;
   core::CodeSet union_table_;  // every completion ever recorded, for the
                                // "redundant storage" measurement
