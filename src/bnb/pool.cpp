@@ -43,13 +43,14 @@ bool ActivePool::ranks_before(const Entry& ea, const Entry& eb) const {
   return a.code < b.code;
 }
 
-void ActivePool::push(Subproblem p) {
-  heap_.push_back(Entry{std::move(p), ++next_seq_});
+void ActivePool::push(Subproblem p, core::LookupHint hint) {
+  heap_.push_back(Entry{std::move(p), ++next_seq_, hint});
   sift_up(heap_.size() - 1);
 }
 
-Subproblem ActivePool::pop() {
+Subproblem ActivePool::pop(core::LookupHint* hint) {
   FTBB_CHECK_MSG(!heap_.empty(), "pop from empty pool");
+  if (hint != nullptr) *hint = heap_.front().hint;
   Subproblem top = std::move(heap_.front().item);
   if (heap_.size() > 1) heap_.front() = std::move(heap_.back());
   heap_.pop_back();

@@ -10,6 +10,12 @@
 // operation-for-operation, and the golden ScenarioReport fingerprints pin it
 // end to end.
 //
+// Each entry carries the LookupHint of the last CodeSet::covered() walk of
+// its code, so the worker's covered checks (the pop, the children of an
+// expansion, the sweep after a covering report) resume where that walk
+// stopped. The pool only stores and hands back the hint; work grants leave
+// it behind.
+//
 // A worker's pool rarely exceeds a few hundred entries in the end-to-end
 // workloads, where a linear sweep costs no more than keeping ordered indexes
 // up to date under push/pop churn would.
@@ -21,6 +27,7 @@
 #include <vector>
 
 #include "bnb/problem.hpp"
+#include "core/code_set.hpp"
 
 namespace ftbb::bnb {
 
@@ -37,22 +44,26 @@ class ActivePool {
  public:
   explicit ActivePool(SelectRule rule = SelectRule::kBestFirst);
 
-  void push(Subproblem p);
+  /// Adds `p` with the hint of the covered() check made before the push.
+  void push(Subproblem p, core::LookupHint hint = {});
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Pops the problem the selection rule ranks first.
-  Subproblem pop();
+  /// Pops the problem the selection rule ranks first, and its hint into
+  /// `*hint` when given.
+  Subproblem pop(core::LookupHint* hint = nullptr);
 
   /// Removes every entry whose bound is >= `threshold` (elimination after an
   /// incumbent improvement); returns them in heap-array order.
   std::vector<Subproblem> prune_above(double threshold);
 
   /// Removes every entry matching `victim`; returns them in heap-array order.
-  /// `victim` is called once per entry, in heap-array order.
+  /// `victim(item, hint)` is called once per entry, in heap-array order, with
+  /// the entry's own hint to check against and refresh.
   template <typename Victim>
   std::vector<Subproblem> remove_if(Victim victim) {
-    return remove_where([&](std::size_t i) { return victim(heap_[i].item); });
+    return remove_where(
+        [&](std::size_t i) { return victim(heap_[i].item, heap_[i].hint); });
   }
 
   /// Extracts up to `k` problems for a work grant, preferring the
@@ -78,6 +89,7 @@ class ActivePool {
   struct Entry {
     Subproblem item;
     std::uint64_t seq = 0;  // insertion order; totalizes the share order
+    core::LookupHint hint;
   };
 
   [[nodiscard]] bool ranks_before(const Entry& a, const Entry& b) const;

@@ -7,6 +7,9 @@ namespace ftbb::core {
 CodeSet::CodeSet() { clear(); }
 
 void CodeSet::clear() {
+  // Generations stay monotone across the reset: fresh slots start above
+  // every generation issued so far.
+  for (const Node& n : nodes_) gen_floor_ = std::max(gen_floor_, n.gen + 1);
   nodes_.clear();
   free_list_.clear();
   complete_count_ = 0;
@@ -21,93 +24,92 @@ void CodeSet::clear() {
   complement_memo_.clear();
   complement_memo_.shrink_to_fit();
   // Node 0 is always the root problem.
-  nodes_.push_back(Node{});
-  nodes_[0].in_use = true;
-  live_nodes_ = 1;
+  alloc_node();
 }
 
 std::int32_t CodeSet::alloc_node() {
   ++live_nodes_;
+  std::int32_t idx;
   if (!free_list_.empty()) {
-    const std::int32_t idx = free_list_.back();
+    idx = free_list_.back();
     free_list_.pop_back();
-    nodes_[static_cast<std::size_t>(idx)] = Node{};
-    nodes_[static_cast<std::size_t>(idx)].in_use = true;
+  } else {
+    idx = static_cast<std::int32_t>(nodes_.size());
+    nodes_.push_back(Node{.gen = gen_floor_ | 1u});
     return idx;
   }
-  nodes_.push_back(Node{});
-  nodes_.back().in_use = true;
-  return static_cast<std::int32_t>(nodes_.size() - 1);
+  Node& n = nodes_[static_cast<std::size_t>(idx)];
+  n.var = kNoVar;
+  n.child[0] = -1;
+  n.child[1] = -1;
+  ++n.gen;
+  return idx;
 }
 
-void CodeSet::free_subtree(std::int32_t idx) {
+void CodeSet::release_subtree(std::int32_t idx, std::size_t depth,
+                              std::size_t body) {
   Node& n = nodes_[static_cast<std::size_t>(idx)];
-  for (const std::int32_t c : n.child) {
-    if (c >= 0) free_subtree(c);
+  if (is_complete(n)) {
+    // A code subsumed by a completing ancestor leaves the export.
+    --complete_count_;
+    body_bytes_ -= support::varint_size(depth) + body;
+  } else {
+    for (std::uint32_t bit = 0; bit < 2; ++bit) {
+      const std::int32_t c = n.child[bit];
+      if (c < 0) continue;
+      release_subtree(c, depth + 1,
+                      body + support::varint_size((n.var << 1) | bit));
+    }
   }
-  n.in_use = false;
+  ++n.gen;
   --live_nodes_;
   free_list_.push_back(idx);
 }
 
-void CodeSet::drop_completed_below(std::int32_t idx) {
-  // Codes completed somewhere under idx are about to be subsumed by an
-  // ancestor; remove them from the export accounting before the subtree is
-  // discarded.
-  const Node& n = nodes_[static_cast<std::size_t>(idx)];
-  if (n.complete) {
-    --complete_count_;
-    body_bytes_ -= code_bytes(n);
-    return;  // complete nodes are leaves; nothing below
-  }
-  for (const std::int32_t c : n.child) {
-    if (c >= 0) drop_completed_below(c);
-  }
-}
-
-void CodeSet::mark_complete(std::int32_t idx, InsertResult& res) {
+void CodeSet::mark_complete(PathView code, const Cursor& path,
+                            InsertResult& res) {
+  std::size_t depth = code.depth();
+  // Encoded bytes of the steps down to `depth` (the code's size without its
+  // depth header).
+  std::size_t body = code.encoded_size() - support::varint_size(depth);
   {
+    const std::int32_t idx = path.node(depth);
     Node& n = nodes_[static_cast<std::size_t>(idx)];
-    FTBB_CHECK(!n.complete);
     // Subsume any completions previously recorded inside this subtree.
-    for (std::int32_t& c : n.child) {
-      if (c >= 0) {
-        drop_completed_below(c);
-        free_subtree(c);
-        c = -1;
-      }
+    for (std::uint32_t bit = 0; bit < 2; ++bit) {
+      const std::int32_t c = n.child[bit];
+      if (c < 0) continue;
+      release_subtree(c, depth + 1,
+                      body + support::varint_size((n.var << 1) | bit));
     }
-    n.complete = true;
+    n.child[0] = kComplete;
+    n.child[1] = -1;
     if (idx == 0) root_complete_ = true;
     ++complete_count_;
-    body_bytes_ += code_bytes(n);
+    body_bytes_ += support::varint_size(depth) + body;
   }
 
   // List contraction: while the sibling is also complete, replace the pair
-  // by their parent (recursively) — Section 5.3.2.
-  std::int32_t cur = idx;
-  while (true) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    const std::int32_t parent = n.parent;
-    if (parent < 0) break;  // reached the root
+  // by their parent (recursively) — Section 5.3.2. The parent is the
+  // previous node on the path.
+  for (; depth > 0; --depth) {
+    const std::int32_t parent = path.node(depth - 1);
     Node& p = nodes_[static_cast<std::size_t>(parent)];
-    const std::int32_t sib = p.child[n.bit_in_parent ^ 1];
-    if (sib < 0 || !nodes_[static_cast<std::size_t>(sib)].complete) break;
+    const std::int32_t sib = p.child[code.bit(depth - 1) ^ 1];
+    if (sib < 0 || !is_complete(sib)) break;
 
     // Both children complete -> parent complete.
-    for (const std::int32_t c : p.child) {
-      --complete_count_;
-      body_bytes_ -= code_bytes(nodes_[static_cast<std::size_t>(c)]);
-      free_subtree(c);
+    body -= support::varint_size(code.word(depth - 1));
+    for (std::uint32_t bit = 0; bit < 2; ++bit) {
+      release_subtree(p.child[bit], depth,
+                      body + support::varint_size((p.var << 1) | bit));
     }
-    p.child[0] = -1;
+    p.child[0] = kComplete;
     p.child[1] = -1;
-    p.complete = true;
     if (parent == 0) root_complete_ = true;
     ++complete_count_;
-    body_bytes_ += code_bytes(p);
+    body_bytes_ += support::varint_size(depth - 1) + body;
     ++res.merges;
-    cur = parent;
   }
 }
 
@@ -127,12 +129,12 @@ CodeSet::InsertResult CodeSet::insert_at(PathView code, std::size_t lcp,
   // invariance: the skipped levels still count as walked.
   std::size_t i = std::min(lcp, cursor.valid);
   res.nodes_walked = static_cast<std::uint32_t>(i);
-  std::int32_t cur = cursor.nodes[i];
+  std::int32_t cur = cursor.node(i);
   for (; i < code.depth(); ++i) {
     Node& n = nodes_[static_cast<std::size_t>(cur)];
     ++res.nodes_walked;
-    if (n.complete) {  // covered by an ancestor; nothing to do
-      cursor.valid = std::min(i, Cursor::kDepth - 1);
+    if (is_complete(n)) {  // covered by an ancestor; nothing to do
+      cursor.valid = i;
       return res;
     }
     const std::uint32_t var = code.var(i);
@@ -147,32 +149,25 @@ CodeSet::InsertResult CodeSet::insert_at(PathView code, std::size_t lcp,
     std::int32_t next = n.child[bit];
     if (next < 0) {
       next = alloc_node();
-      Node& parent = nodes_[static_cast<std::size_t>(cur)];  // realloc-safe refetch
-      Node& child = nodes_[static_cast<std::size_t>(next)];
-      child.parent = cur;
-      child.bit_in_parent = bit;
-      child.depth = parent.depth + 1;
-      child.body_bytes =
-          parent.body_bytes +
-          static_cast<std::uint32_t>(support::varint_size(code.word(i)));
-      parent.child[bit] = next;
+      // Refetched: alloc_node may have reallocated nodes_.
+      nodes_[static_cast<std::size_t>(cur)].child[bit] = next;
     }
     cur = next;
-    if (i + 1 < Cursor::kDepth) cursor.nodes[i + 1] = cur;
+    cursor.set(i + 1, cur);
   }
   ++res.nodes_walked;
-  cursor.valid = std::min(code.depth(), Cursor::kDepth - 1);
-  if (nodes_[static_cast<std::size_t>(cur)].complete) return res;
+  cursor.valid = code.depth();
+  if (is_complete(cur)) return res;
   res.newly_covered = true;
   // The trie changes iff the code is newly covered: fresh nodes are only
   // allocated along a path whose endpoint was not yet complete (and then
   // that endpoint is completed right here), so no-op inserts — common when
   // stale gossip re-reports known completions — keep the memos warm.
   ++version_;
-  mark_complete(cur, res);
+  mark_complete(code, cursor, res);
   // Each merge freed the deepest node left on the path and completed its
   // parent, which is now the deepest usable entry.
-  cursor.valid = std::min(code.depth() - res.merges, Cursor::kDepth - 1);
+  cursor.valid = code.depth() - res.merges;
   return res;
 }
 
@@ -206,39 +201,43 @@ CodeSet::InsertResult CodeSet::insert_all(std::span<const PathCode> codes) {
   return total;
 }
 
-bool CodeSet::covered(PathView code) const {
+bool CodeSet::covered(PathView code, LookupHint& hint) const {
+  // Resume at the hinted node while its slot still holds the node the hint
+  // names (see the file comment for why the path above it is unchanged).
   std::int32_t cur = 0;
-  for (std::size_t i = 0; i < code.depth(); ++i) {
+  std::size_t i = 0;
+  if (static_cast<std::size_t>(hint.node) < nodes_.size() &&
+      nodes_[static_cast<std::size_t>(hint.node)].gen == hint.gen &&
+      hint.depth <= code.depth()) {
+    cur = hint.node;
+    i = hint.depth;
+  }
+  bool found = false;
+  for (; i < code.depth(); ++i) {
     const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (n.complete) return true;
-    if (n.var != kNoVar && n.var != code.var(i)) return false;  // different tree region knowledge
+    if (is_complete(n)) {
+      found = true;
+      break;
+    }
+    // A node without a learned variable has no children, and a variable
+    // that differs means the code leaves the known region: either way no
+    // completion lies on the code's path.
     const std::int32_t next = n.child[code.bit(i)];
-    if (next < 0) return false;
+    if (n.var != code.var(i) || next < 0) break;
     cur = next;
   }
-  return nodes_[static_cast<std::size_t>(cur)].complete;
-}
-
-std::optional<std::size_t> CodeSet::covering_prefix_len(PathView code) const {
-  std::int32_t cur = 0;
-  for (std::size_t i = 0; i < code.depth(); ++i) {
-    const Node& n = nodes_[static_cast<std::size_t>(cur)];
-    if (n.complete) return i;
-    if (n.var != kNoVar && n.var != code.var(i)) return std::nullopt;
-    const std::int32_t next = n.child[code.bit(i)];
-    if (next < 0) return std::nullopt;
-    cur = next;
-  }
-  if (nodes_[static_cast<std::size_t>(cur)].complete) return code.depth();
-  return std::nullopt;
+  if (i == code.depth()) found = is_complete(cur);
+  hint = LookupHint{cur, nodes_[static_cast<std::size_t>(cur)].gen,
+                    static_cast<std::uint32_t>(i)};
+  return found;
 }
 
 std::optional<PathCode> CodeSet::covering_code(PathView code) const {
-  const std::optional<std::size_t> len = covering_prefix_len(code);
-  if (!len.has_value()) return std::nullopt;
-  return PathCode(code.prefix(*len));
+  // A covered walk stops at the highest complete node on the code's path.
+  LookupHint stop;
+  if (!covered(code, stop)) return std::nullopt;
+  return PathCode(code.prefix(stop.depth));
 }
-
 
 void CodeSet::emit(const PathCode& path, std::vector<PathCode>& out,
                    std::size_t& n) {
@@ -262,7 +261,7 @@ void CodeSet::copy_codes(const std::vector<PathCode>& src,
 void CodeSet::export_dfs(std::int32_t idx, std::vector<std::uint32_t>& path,
                          std::size_t& keep, CodeList::Rep& out) const {
   const Node& node = nodes_[static_cast<std::size_t>(idx)];
-  if (node.complete) {
+  if (is_complete(node)) {
     // `keep` is the shallowest depth since the previous code: the walk
     // climbed to that node from the previous code's branch and came down
     // the other one, so it is their exact common prefix.
@@ -312,7 +311,7 @@ CodeList CodeSet::export_codes() const {
     export_dfs(0, path, keep, memo);
     // The last code in DFS order is the rightmost path down to a leaf.
     std::int32_t cur = 0;
-    while (!nodes_[static_cast<std::size_t>(cur)].complete) {
+    while (!is_complete(cur)) {
       const Node& n = nodes_[static_cast<std::size_t>(cur)];
       const std::uint32_t bit = n.child[1] >= 0 ? 1 : 0;
       path.push_back((n.var << 1) | bit);
@@ -327,7 +326,7 @@ CodeList CodeSet::export_codes() const {
 void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
                              std::vector<PathCode>& out, std::size_t& n) const {
   const Node& node = nodes_[static_cast<std::size_t>(idx)];
-  if (node.complete) return;
+  if (is_complete(node)) return;
   if (node.var == kNoVar) {
     // No completion was ever reported below this node: the whole region is
     // uncovered. (Only reachable for the empty table's root.)
@@ -342,7 +341,7 @@ void CodeSet::complement_dfs(std::int32_t idx, PathCode& path,
       path.push_word((node.var << 1) | bit);
       emit(path, out, n);
       path.pop_step();
-    } else if (!nodes_[static_cast<std::size_t>(c)].complete) {
+    } else if (!is_complete(c)) {
       path.push_word((node.var << 1) | bit);
       complement_dfs(c, path, out, n);
       path.pop_step();
@@ -371,42 +370,52 @@ void CodeSet::check_invariants() const {
   std::size_t complete_seen = 0;
   std::size_t bytes_seen = 0;
   std::size_t live_seen = 0;
-  // Iterative DFS with explicit parent verification.
+  // Iterative DFS carrying each node's depth and step bytes down from the
+  // root, the way the walks derive them.
   struct Frame {
     std::int32_t idx;
+    std::size_t depth;
+    std::size_t body;
   };
-  std::vector<Frame> stack{{0}};
+  std::vector<Frame> stack{{0, 0, 0}};
   while (!stack.empty()) {
-    const std::int32_t idx = stack.back().idx;
+    const Frame f = stack.back();
     stack.pop_back();
-    const Node& n = nodes_[static_cast<std::size_t>(idx)];
-    FTBB_CHECK_MSG(n.in_use, "CodeSet: reachable node not in_use");
+    const Node& n = nodes_[static_cast<std::size_t>(f.idx)];
+    FTBB_CHECK_MSG(n.gen % 2 == 1, "CodeSet: reachable node not live");
     ++live_seen;
-    if (n.complete) {
+    if (is_complete(n)) {
       ++complete_seen;
-      bytes_seen += code_bytes(n);
-      FTBB_CHECK_MSG(n.child[0] < 0 && n.child[1] < 0,
-                     "CodeSet: complete node must be a leaf");
+      bytes_seen += support::varint_size(f.depth) + f.body;
+      FTBB_CHECK_MSG(n.child[1] < 0, "CodeSet: complete node must be a leaf");
       continue;
     }
-    const bool c0 = n.child[0] >= 0 &&
-                    nodes_[static_cast<std::size_t>(n.child[0])].complete;
-    const bool c1 = n.child[1] >= 0 &&
-                    nodes_[static_cast<std::size_t>(n.child[1])].complete;
-    FTBB_CHECK_MSG(!(c0 && c1), "CodeSet: uncontracted sibling pair");
-    for (int bit = 0; bit < 2; ++bit) {
+    FTBB_CHECK_MSG(n.child[0] >= -1 && n.child[1] >= -1,
+                   "CodeSet: completion sentinel off child[0]");
+    FTBB_CHECK_MSG(!(n.child[0] >= 0 && n.child[1] >= 0 &&
+                     is_complete(n.child[0]) && is_complete(n.child[1])),
+                   "CodeSet: uncontracted sibling pair");
+    for (std::uint32_t bit = 0; bit < 2; ++bit) {
       const std::int32_t c = n.child[bit];
       if (c < 0) continue;
-      const Node& ch = nodes_[static_cast<std::size_t>(c)];
-      FTBB_CHECK(ch.parent == idx);
-      FTBB_CHECK(ch.bit_in_parent == bit);
-      FTBB_CHECK(ch.depth == n.depth + 1);
-      stack.push_back({c});
+      FTBB_CHECK_MSG(n.var != kNoVar, "CodeSet: child below an unbranched node");
+      stack.push_back({c, f.depth + 1,
+                       f.body + support::varint_size((n.var << 1) | bit)});
     }
+  }
+  std::size_t live_slots = 0;
+  for (const Node& n : nodes_) live_slots += n.gen % 2;
+  for (const std::int32_t idx : free_list_) {
+    FTBB_CHECK_MSG(nodes_[static_cast<std::size_t>(idx)].gen % 2 == 0,
+                   "CodeSet: live slot on the free list");
   }
   FTBB_CHECK_MSG(complete_seen == complete_count_, "CodeSet: stale code_count");
   FTBB_CHECK_MSG(bytes_seen == body_bytes_, "CodeSet: stale byte accounting");
   FTBB_CHECK_MSG(live_seen == live_nodes_, "CodeSet: stale live node count");
+  FTBB_CHECK_MSG(live_slots == live_nodes_,
+                 "CodeSet: live slot unreachable from the root");
+  FTBB_CHECK_MSG(live_slots + free_list_.size() == nodes_.size(),
+                 "CodeSet: slot neither live nor free");
 }
 
 std::string CodeSet::to_string() const {

@@ -23,6 +23,19 @@
 // into one CodeSet must originate from a single underlying search tree
 // (decomposition is deterministic per node), which the trie checks: the
 // branching variable learned for a node must match on every later insert.
+//
+// A trie node is 16 bytes, {var, child[2], gen}: what a walk reads and
+// nothing else. A complete node is a leaf, so completion is a sentinel in
+// child[0]. A node's parent, depth and encoded code size are never stored:
+// every walk that needs them has them on its path (insert's cursor records
+// the nodes it passed, and the DFS walks carry depth and bytes down). `gen`
+// is the slot's generation, odd while the slot is live and bumped on every
+// alloc and every free, and it is what makes a LookupHint safe: a live
+// node's ancestors, their variables and their child links stay as they were
+// until an ancestor completes, and a completing ancestor frees the node. So
+// a walk may resume at the node a previous walk of the same code stopped at
+// whenever that slot's generation still matches, and falls back to the
+// root whenever it does not.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +50,21 @@
 #include "support/bytes.hpp"
 
 namespace ftbb::core {
+
+/// Where a CodeSet::covered() walk stopped: the deepest trie node it reached,
+/// that slot's generation, and the node's depth. A later covered() of the
+/// same code, or of any code extending its first `depth` steps, resumes
+/// there while the slot's generation matches, and walks from the root
+/// otherwise, so a stale hint costs a root walk and never changes an answer.
+/// The default hint matches no slot. A hint belongs to the table that filled
+/// it; clear() keeps it from matching anything allocated afterwards. (A
+/// stale hint could match again only after 2^31 reuses of its one slot
+/// wrapped the 32-bit generation.)
+struct LookupHint {
+  std::int32_t node = 0;
+  std::uint32_t gen = 0;  // live generations are odd, so 0 never matches
+  std::uint32_t depth = 0;
+};
 
 class CodeSet {
  public:
@@ -70,7 +98,17 @@ class CodeSet {
   InsertResult insert_all(std::span<const PathCode> codes);
 
   /// True when `code` or one of its ancestors is recorded completed.
-  [[nodiscard]] bool covered(PathView code) const;
+  [[nodiscard]] bool covered(PathView code) const {
+    LookupHint fresh;
+    return covered(code, fresh);
+  }
+
+  /// covered(), resuming at `hint` when it is still valid (see LookupHint)
+  /// and leaving in it the node this walk stopped at. The hint must come
+  /// from a walk of a code sharing its first `hint.depth` steps with `code`:
+  /// the pool keeps one per entry and hands a popped entry's hint to its
+  /// children.
+  [[nodiscard]] bool covered(PathView code, LookupHint& hint) const;
 
   /// The maximal completed code covering `code` (itself or its highest
   /// completed ancestor), or nullopt when uncovered. Work reports use this
@@ -136,45 +174,59 @@ class CodeSet {
  private:
   struct Node {
     std::uint32_t var = kNoVar;  // variable this tree node branches on
-    std::int32_t parent = -1;
-    std::int32_t child[2] = {-1, -1};
-    std::uint32_t depth = 0;
-    std::uint32_t body_bytes = 0;  // encoded bytes of the steps of this path
-    std::uint8_t bit_in_parent = 0;
-    bool complete = false;
-    bool in_use = false;
+    std::int32_t child[2] = {-1, -1};  // child[0] == kComplete: complete leaf
+    std::uint32_t gen = 0;  // odd while live; bumped on alloc and on free
   };
+  static_assert(sizeof(Node) == 16);
 
-  [[nodiscard]] std::size_t code_bytes(const Node& n) const {
-    return support::varint_size(n.depth) + n.body_bytes;
+  static constexpr std::int32_t kComplete = -2;
+
+  [[nodiscard]] static bool is_complete(const Node& n) {
+    return n.child[0] == kComplete;
+  }
+  [[nodiscard]] bool is_complete(std::int32_t idx) const {
+    return is_complete(nodes_[static_cast<std::size_t>(idx)]);
   }
 
   /// insert_all's prefix cursor: the trie nodes along the previously
-  /// inserted code (nodes[k] at depth k). Entries up to `valid` are still
-  /// usable: none is freed, and none shallower than `valid` is complete.
-  /// It lives on the caller's stack, never in the CodeSet (a planetary run
-  /// holds 2e5 tables), and has a fixed size: a code deeper than kDepth
-  /// resumes at most kDepth - 1 levels down and walks the rest.
+  /// inserted code, node(k) at depth k, the first kDepth inline and any
+  /// deeper ones in a heap tail that only codes past kDepth levels touch.
+  /// Entries up to `valid` are still usable: none is freed, and none
+  /// shallower than `valid` is complete. It lives on the caller's stack,
+  /// never in the CodeSet (a planetary run holds 2e5 tables). The path it
+  /// holds is also what contraction climbs: nodes keep no parent link.
   struct Cursor {
     static constexpr std::size_t kDepth = 2 * PathCode::kInlineWords;
 
     std::size_t valid = 0;
     std::int32_t nodes[kDepth] = {};  // nodes[0] is the root, node 0
+    std::vector<std::int32_t> tail;   // node(kDepth + j) is tail[j]
+
+    [[nodiscard]] std::int32_t node(std::size_t k) const {
+      return k < kDepth ? nodes[k] : tail[k - kDepth];
+    }
+    void set(std::size_t k, std::int32_t idx) {
+      if (k < kDepth) {
+        nodes[k] = idx;
+        return;
+      }
+      if (tail.size() <= k - kDepth) tail.resize(k - kDepth + 1);
+      tail[k - kDepth] = idx;
+    }
   };
 
   /// insert() of one code that shares exactly `lcp` leading words with the
   /// previously inserted one, resuming from (and then advancing) `cursor`.
   InsertResult insert_at(PathView code, std::size_t lcp, Cursor& cursor);
 
-  /// Length of the covering prefix: covering_code(code) is always
-  /// code.prefix(*covering_prefix_len(code)).
-  [[nodiscard]] std::optional<std::size_t> covering_prefix_len(
-      PathView code) const;
-
   std::int32_t alloc_node();
-  void free_subtree(std::int32_t idx);      // releases idx and descendants
-  void drop_completed_below(std::int32_t idx);  // accounting for subsumed codes
-  void mark_complete(std::int32_t idx, InsertResult& res);
+  /// Frees `idx` and its descendants, removing every completed code among
+  /// them from the export accounting. `depth` and `body` are idx's depth
+  /// and the encoded bytes of the steps leading to it.
+  void release_subtree(std::int32_t idx, std::size_t depth, std::size_t body);
+  /// Completes the node at the end of `code`'s path (recorded on `path`)
+  /// and contracts upward through that path.
+  void mark_complete(PathView code, const Cursor& path, InsertResult& res);
 
   /// Appends `path` at out[n++], overwriting a previous element when one
   /// exists so its heap capacity is recycled.
@@ -190,6 +242,10 @@ class CodeSet {
 
   std::vector<Node> nodes_;
   std::vector<std::int32_t> free_list_;
+  /// Generation a fresh slot starts from: above every generation issued
+  /// before the last clear(), so no hint taken before it can match a slot
+  /// allocated after it.
+  std::uint32_t gen_floor_ = 0;
   std::size_t complete_count_ = 0;
   std::size_t body_bytes_ = 0;  // sum over completed leaves of code body+header bytes (see encoded_bytes)
   std::size_t live_nodes_ = 0;
@@ -206,7 +262,7 @@ class CodeSet {
   mutable std::uint64_t export_memo_version_ = ~std::uint64_t{0};
   mutable std::vector<PathCode> complement_memo_;
   mutable std::uint64_t complement_memo_version_ = ~std::uint64_t{0};
-  /// Mirrors nodes_[0].complete. The termination predicate is polled on
+  /// Mirrors is_complete(0). The termination predicate is polled on
   /// every scheduling step; reading it from the CodeSet object itself (hot
   /// next to the owning worker's state) skips a dependent load into the
   /// nodes_ heap block.

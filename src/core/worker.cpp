@@ -100,18 +100,19 @@ void BnbWorker::do_step() {
     return;
   }
   ++stats_.work[WorkItem::kPoolPops];
-  const bnb::Subproblem p = pool_.pop();
+  LookupHint hint;
+  const bnb::Subproblem p = pool_.pop(&hint);
   if (config_.enable_elimination && p.bound >= incumbent_) {
     // Eliminate: the incumbent improved after insertion. A problem fathomed
     // by its bound is completed (paper Figure 2 semantics).
     ++stats_.work[WorkItem::kEliminated];
     complete(p.code);
-  } else if (table_.covered(p.code)) {
+  } else if (table_.covered(p.code, hint)) {
     // A work report proved this subproblem done elsewhere; drop it
     // ("interrupting the redundant work when information is updated").
     ++stats_.work[WorkItem::kCoveredSkips];
   } else {
-    expand(p);
+    expand(p, hint);
   }
   continue_work();
 }
@@ -120,7 +121,7 @@ void BnbWorker::do_step() {
 // Search
 // ---------------------------------------------------------------------------
 
-void BnbWorker::expand(const bnb::Subproblem& p) {
+void BnbWorker::expand(const bnb::Subproblem& p, const LookupHint& hint) {
   const bnb::NodeEval eval = model_->eval(p.code);
   env_->charge(CostKind::kBB, eval.cost);
   env_->note_expansion(p.code, eval.cost);
@@ -157,12 +158,14 @@ void BnbWorker::expand(const bnb::Subproblem& p) {
       complete(code);
       continue;
     }
-    if (table_.covered(code)) {
+    // The child's walk resumes where its parent's stopped.
+    LookupHint child_hint = hint;
+    if (table_.covered(code, child_hint)) {
       ++stats_.work[WorkItem::kCoveredSkips];
       continue;
     }
     ++stats_.work[WorkItem::kPoolPushes];
-    pool_.push(bnb::Subproblem{code, child.bound});
+    pool_.push(bnb::Subproblem{code, child.bound}, child_hint);
   }
 }
 
@@ -205,8 +208,10 @@ void BnbWorker::prune_pool_by_bound() {
 
 void BnbWorker::prune_pool_covered() {
   stats_.work[WorkItem::kSweepEntriesScanned] += pool_.size();
-  const auto removed = pool_.remove_if(
-      [this](const bnb::Subproblem& p) { return table_.covered(p.code); });
+  const auto removed =
+      pool_.remove_if([this](const bnb::Subproblem& p, LookupHint& hint) {
+        return table_.covered(p.code, hint);
+      });
   stats_.work[WorkItem::kCoveredSkips] += removed.size();
 }
 
@@ -410,12 +415,12 @@ void BnbWorker::handle_work_grant(const Message& msg) {
   // A stale grant (answering a timed-out request) still carries problems;
   // absorbing them loses nothing and discarding them would force recovery
   // to redo the work later.
-  for (const bnb::Subproblem& p : msg.problems) add_subproblem(p, /*from_grant=*/true);
+  for (const bnb::Subproblem& p : msg.problems) add_subproblem(p);
 }
 
-void BnbWorker::add_subproblem(bnb::Subproblem p, bool from_grant) {
-  (void)from_grant;
-  if (table_.covered(p.code)) {
+void BnbWorker::add_subproblem(bnb::Subproblem p) {
+  LookupHint hint;
+  if (table_.covered(p.code, hint)) {
     ++stats_.work[WorkItem::kCoveredSkips];
     return;
   }
@@ -425,7 +430,7 @@ void BnbWorker::add_subproblem(bnb::Subproblem p, bool from_grant) {
     return;
   }
   ++stats_.work[WorkItem::kPoolPushes];
-  pool_.push(std::move(p));
+  pool_.push(std::move(p), hint);
 }
 
 std::size_t BnbWorker::pick_recovery_candidate(const std::vector<PathCode>& candidates) {
@@ -508,7 +513,8 @@ void BnbWorker::recover() {
     PathCode code = std::move(candidates[i]);
     candidates[i] = std::move(candidates.back());
     candidates.pop_back();
-    if (table_.covered(code)) continue;  // our own eliminations covered it
+    LookupHint hint;
+    if (table_.covered(code, hint)) continue;  // our own eliminations covered it
     const double bound = model_->bound_of(code);
     if (config_.enable_elimination && bound >= incumbent_) {
       ++stats_.work[WorkItem::kEliminated];
@@ -516,7 +522,7 @@ void BnbWorker::recover() {
       continue;
     }
     ++stats_.work[WorkItem::kPoolPushes];
-    pool_.push(bnb::Subproblem{std::move(code), bound});
+    pool_.push(bnb::Subproblem{std::move(code), bound}, hint);
     break;
   }
   continue_work();

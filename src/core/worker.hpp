@@ -249,7 +249,8 @@ class BnbWorker {
   void do_step();
 
   // -- search --
-  void expand(const bnb::Subproblem& p);
+  /// `hint` is the popped entry's, refreshed by its covered() check.
+  void expand(const bnb::Subproblem& p, const LookupHint& hint);
   void complete(const PathCode& code);
   void absorb_incumbent(double value);
   void prune_pool_by_bound();
@@ -269,7 +270,7 @@ class BnbWorker {
   [[nodiscard]] std::size_t pick_recovery_candidate(
       const std::vector<PathCode>& candidates);
 
-  void add_subproblem(bnb::Subproblem p, bool from_grant);
+  void add_subproblem(bnb::Subproblem p);
 
   NodeId id_;
   const bnb::IProblemModel* model_;

@@ -1,13 +1,13 @@
 #include "sim/cluster.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <variant>
 
 #include "core/expansion_ledger.hpp"
 #include "support/check.hpp"
+#include "support/fifo.hpp"
 
 namespace ftbb::sim {
 
@@ -184,7 +184,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
       if (epoch != epoch_ || !alive_ || worker_->halted()) return;
       // Superseded arm: the worker's own gen filter would discard this fire
       // anyway (~40% of all fires in the planetary storm), so skip the
-      // deque round-trip and pump. Riding through pump() is not entirely
+      // inbox round-trip and pump. Riding through pump() is not entirely
       // free, though — a delivered no-op fire still attributes the idle gap
       // and advances the local clock — so replicate exactly that bookkeeping
       // here. (Deferring the attribution to the next delivered event is NOT
@@ -197,7 +197,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
         if (t < busy_until_) return;
         if (!pending_.empty()) {
           // Backlog present (only reachable through same-instant races):
-          // keep strict deque ordering by taking the ordinary path.
+          // keep strict inbox ordering by taking the ordinary path.
           pending_.emplace_back(TimerFire{kind, gen});
           pump();
           return;
@@ -325,8 +325,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
         schedule_wake();
         return;
       }
-      Pending e = std::move(pending_.front());
-      pending_.pop_front();
+      Pending e = pending_.pop_front();
       if (busy_until_ < t) {
         attribute_gap(busy_until_, t);
         busy_until_ = t;
@@ -375,7 +374,7 @@ class SimCluster::WorkerHost final : public core::IWorkerEnv {
   double crash_time_ = -1.0;
   double busy_until_ = 0.0;
   core::WaitHint wait_hint_ = core::WaitHint::kIdle;
-  std::deque<Pending> pending_;
+  support::Fifo<Pending> pending_;  // the host's inbox
   std::uint64_t wake_gen_ = 0;
   /// Latest armed generation per timer kind (single-writer: only this
   /// worker's shard arms and fires its timers). Fires with an older gen are

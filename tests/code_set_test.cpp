@@ -260,14 +260,13 @@ void collect_codes(const BasicTree& tree, std::int32_t idx, const PathCode& code
   }
 }
 
-class CodeSetPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CodeSetPropertyTest, MatchesOracleOnRandomCompletions) {
-  const std::uint64_t seed = GetParam();
-  RandomTreeConfig cfg;
-  cfg.target_nodes = 301;
-  cfg.seed = seed;
-  const BasicTree tree = BasicTree::random(cfg);
+/// Completes a random half of `tree`'s leaves and checks coverage against
+/// the oracle on every node, and that the complement tiles the leaves the
+/// table leaves open. With `batched`, the second half of the picks goes in
+/// through insert_all in DFS order, so contraction climbs cursor paths that
+/// resumed below a shared prefix.
+void expect_matches_oracle(const BasicTree& tree, std::uint64_t seed,
+                           bool batched) {
   std::vector<std::pair<PathCode, std::int32_t>> nodes;
   collect_codes(tree, 0, PathCode::root(), nodes);
 
@@ -283,13 +282,21 @@ TEST_P(CodeSetPropertyTest, MatchesOracleOnRandomCompletions) {
     }
   }
   const std::size_t to_complete = leaf_indices.size() / 2 + 1;
-  const auto picks =
-      rng.sample_without_replacement(leaf_indices.size(), to_complete);
-  for (const std::size_t pick : picks) {
-    const auto& [code, idx] = nodes[leaf_indices[pick]];
+  auto picks = rng.sample_without_replacement(leaf_indices.size(), to_complete);
+  const std::size_t singles = batched ? picks.size() / 2 : picks.size();
+  for (std::size_t k = 0; k < singles; ++k) {
+    const auto& [code, idx] = nodes[leaf_indices[picks[k]]];
     set.insert(code);
     oracle.mark(idx);
   }
+  std::sort(picks.begin() + static_cast<std::ptrdiff_t>(singles), picks.end());
+  std::vector<PathCode> batch;
+  for (std::size_t k = singles; k < picks.size(); ++k) {
+    const auto& [code, idx] = nodes[leaf_indices[picks[k]]];
+    batch.push_back(code);
+    oracle.mark(idx);
+  }
+  set.insert_all(batch);
   set.check_invariants();
 
   // Coverage agrees with the oracle on every node of the tree.
@@ -314,6 +321,47 @@ TEST_P(CodeSetPropertyTest, MatchesOracleOnRandomCompletions) {
       EXPECT_EQ(covering_regions, 1) << code.to_string();
     }
   }
+}
+
+/// Levels the insert cursor keeps inline; deeper codes use its heap tail.
+constexpr std::size_t kCursorDepth = 2 * std::size_t{PathCode::kInlineWords};
+/// Size of the depth-biased (0.97) test trees: large enough that every
+/// seeded tree has codes past kCursorDepth, which the tests assert.
+constexpr std::uint64_t kDeepTreeNodes = 801;
+
+std::size_t max_depth(const std::vector<std::pair<PathCode, std::int32_t>>& nodes) {
+  std::size_t depth = 0;
+  for (const auto& [code, idx] : nodes) depth = std::max(depth, code.depth());
+  return depth;
+}
+
+class CodeSetPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodeSetPropertyTest, MatchesOracleOnRandomCompletions) {
+  const std::uint64_t seed = GetParam();
+  RandomTreeConfig cfg;
+  cfg.target_nodes = 301;
+  cfg.seed = seed;
+  expect_matches_oracle(BasicTree::random(cfg), seed, /*batched=*/false);
+}
+
+TEST_P(CodeSetPropertyTest, MatchesOracleOnCodesDeeperThanTheCursor) {
+  // Nodes keep no parent link or depth: contraction climbs the insert
+  // cursor's path, whose levels past its inline array live in a heap tail,
+  // and the byte accounting is derived from the code. A depth-biased tree
+  // takes both past the cursor's inline depth, checked against the oracle
+  // (and check_invariants' own byte recount).
+  const std::uint64_t seed = GetParam();
+  RandomTreeConfig cfg;
+  cfg.target_nodes = kDeepTreeNodes;
+  cfg.seed = seed + 4000;
+  cfg.depth_bias = 0.97;
+  const BasicTree tree = BasicTree::random(cfg);
+  std::vector<std::pair<PathCode, std::int32_t>> nodes;
+  collect_codes(tree, 0, PathCode::root(), nodes);
+  ASSERT_GT(max_depth(nodes), kCursorDepth);
+  expect_matches_oracle(tree, seed, /*batched=*/false);
+  expect_matches_oracle(tree, seed, /*batched=*/true);
 }
 
 TEST_P(CodeSetPropertyTest, InsertionOrderDoesNotMatter) {
@@ -715,6 +763,203 @@ TEST(CodeSetDiffDeathTest, MismatchBelowSharedPrefixAborts) {
       path({{1, false}, {2, false}, {3, true}, {9, true}})};
   ASSERT_DEATH(set.insert_all(batch),
                "disagree on a node's branching variable");
+}
+
+// ---------------------------------------------------------------------------
+// CodeSetHint: hinted covered() against the root walk
+// ---------------------------------------------------------------------------
+
+/// A table under test with one persistent hint per tree node, the way pool
+/// entries keep theirs across every mutation of the worker's table.
+struct HintedTable {
+  const DiffTree* t;
+  CodeSet set;
+  std::vector<LookupHint> hints;  // hints[i] is for t->nodes[i]
+
+  explicit HintedTable(const DiffTree* tree)
+      : t(tree), hints(tree->nodes.size()) {}
+
+  /// Hinted lookup of node i; the answer must be the root walk's.
+  void expect_lookup(std::size_t i) {
+    const PathCode& code = t->nodes[i].first;
+    const bool want = set.covered(code);
+    EXPECT_EQ(set.covered(code, hints[i]), want) << code.to_string();
+    EXPECT_LE(hints[i].depth, code.depth());
+  }
+
+  /// The expansion pattern: a node's children resume from its fresh hint.
+  void expect_children_lookup(std::size_t i) {
+    const auto& node = t->tree.node(static_cast<std::size_t>(t->nodes[i].second));
+    if (node.is_leaf()) return;
+    expect_lookup(i);
+    const PathCode& code = t->nodes[i].first;
+    for (int bit = 0; bit < 2; ++bit) {
+      const PathCode child = code.child(node.var, bit != 0);
+      LookupHint hint = hints[i];
+      EXPECT_EQ(set.covered(child, hint), set.covered(child)) << child.to_string();
+    }
+  }
+
+  void expect_all_lookups() {
+    for (std::size_t i = 0; i < t->nodes.size(); ++i) expect_lookup(i);
+  }
+};
+
+class CodeSetHint : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Random leaves (and now and then an inner node, which frees the trie below
+/// it) go in through insert, insert_all(CodeList) and insert_all(span),
+/// interleaved with hinted lookups of random nodes and their children.
+void run_hinted_mix(const DiffTree& t, support::Rng& rng) {
+  HintedTable h(&t);
+  std::vector<std::size_t> leaves;
+  for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+    if (t.is_leaf(i)) leaves.push_back(i);
+  }
+  const auto pick_code = [&]() -> const PathCode& {
+    if (rng.chance(0.05)) return t.nodes[rng.pick(t.nodes.size())].first;
+    return t.nodes[leaves[rng.pick(leaves.size())]].first;
+  };
+  for (int round = 0; round < 400 && !h.set.root_complete(); ++round) {
+    const double dice = rng.uniform();
+    if (dice < 0.25) {
+      h.set.insert(pick_code());
+    } else if (dice < 0.55) {
+      std::vector<PathCode> batch;
+      const std::size_t n = 1 + rng.pick(4);
+      for (std::size_t k = 0; k < n; ++k) batch.push_back(pick_code());
+      if (dice < 0.40) {
+        std::sort(batch.begin(), batch.end());
+        h.set.insert_all(CodeList(batch));
+      } else {
+        h.set.insert_all(batch);
+      }
+    } else {
+      for (std::size_t k = 0; k < 12; ++k) {
+        const std::size_t i = rng.pick(t.nodes.size());
+        if (rng.chance(0.5)) {
+          h.expect_lookup(i);
+        } else {
+          h.expect_children_lookup(i);
+        }
+      }
+    }
+  }
+  h.set.check_invariants();
+  h.expect_all_lookups();
+}
+
+TEST_P(CodeSetHint, InterleavedMutationsAndLookupsMatchTheRootWalk) {
+  const std::uint64_t seed = GetParam();
+  support::Rng rng(seed * 11 + 1);
+  for (const double bias : {0.6, 0.97}) {
+    const DiffTree t(seed + 800, bias < 0.9 ? 401 : kDeepTreeNodes, bias);
+    if (bias > 0.9) {
+      ASSERT_GT(max_depth(t.nodes), kCursorDepth);
+    }
+    for (int pass = 0; pass < 3; ++pass) run_hinted_mix(t, rng);
+  }
+}
+
+TEST_P(CodeSetHint, StaleHintsAfterSlotReuse) {
+  // Hints are taken everywhere; then an inner node completes, freeing the
+  // trie below it, and leaves elsewhere reallocate those slots. Every stale
+  // hint must still give the root walk's answer.
+  const std::uint64_t seed = GetParam();
+  for (const double bias : {0.6, 0.97}) {
+    const DiffTree t(seed + 900, bias < 0.9 ? 401 : kDeepTreeNodes, bias);
+    if (bias > 0.9) {
+      ASSERT_GT(max_depth(t.nodes), kCursorDepth);
+    }
+    support::Rng rng(seed * 11 + 2);
+    for (std::size_t a = 1; a < t.nodes.size(); ++a) {
+      if (t.is_leaf(a) || !rng.chance(0.15)) continue;
+      HintedTable h(&t);
+      const PathCode& ancestor = t.nodes[a].first;
+      std::vector<PathCode> inside;
+      std::vector<PathCode> outside;
+      for (std::size_t i = 0; i < t.nodes.size(); ++i) {
+        if (!t.is_leaf(i) || !rng.chance(0.4)) continue;
+        const PathCode& code = t.nodes[i].first;
+        (ancestor.is_ancestor_of(code) ? inside : outside).push_back(code);
+      }
+      // Without a completion below the ancestor there is no subtree to free.
+      if (inside.empty()) continue;
+      const std::size_t split = outside.size() / 2;
+      h.set.insert_all(inside);
+      h.set.insert_all(std::span<const PathCode>(outside).first(split));
+      h.expect_all_lookups();
+      const std::size_t before = h.set.trie_nodes();
+      // Frees the subtree below the ancestor, unless a completion above it
+      // already covers the ancestor, which then leaves the trie as it is.
+      const bool newly = h.set.insert(ancestor).newly_covered;
+      if (newly) {
+        ASSERT_LT(h.set.trie_nodes(), before);
+      } else {
+        ASSERT_EQ(h.set.trie_nodes(), before);
+      }
+      h.set.insert_all(std::span<const PathCode>(outside).subspan(split));
+      h.set.check_invariants();
+      h.expect_all_lookups();
+    }
+  }
+}
+
+TEST_P(CodeSetHint, HintsTakenBeforeClearNeverMatchAfterIt) {
+  const std::uint64_t seed = GetParam();
+  const DiffTree t(seed + 1000, kDeepTreeNodes, 0.97);
+  ASSERT_GT(max_depth(t.nodes), kCursorDepth);
+  support::Rng rng(seed * 11 + 3);
+  HintedTable h(&t);
+  for (int round = 0; round < 4; ++round) {
+    h.set.insert_all(t.table(rng, 0.3).export_codes());
+    h.expect_all_lookups();
+    h.set.clear();
+    // The cleared table allocates the same slot indices again.
+    h.set.insert_all(t.sample(rng, 0.1));
+    h.set.check_invariants();
+    h.expect_all_lookups();
+    h.set.clear();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodeSetHint,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+TEST(CodeSetHintCase, StaleHintFromBeforeClearOnAReusedCompleteSlot) {
+  // Before the clear, q's walk stops at slot 2, the node (x1,0)(x2,0). After
+  // it, slot 2 is reallocated for (x1,1)(x4,0) and completed. Resuming there
+  // would answer "covered"; q shares nothing with the new table.
+  CodeSet set;
+  set.insert(path({{1, false}, {2, false}, {3, false}}));
+  const PathCode q = path({{1, false}, {2, false}, {3, true}, {5, false}});
+  LookupHint hint;
+  EXPECT_FALSE(set.covered(q, hint));
+  EXPECT_EQ(hint.depth, 2u);  // (x1,0)(x2,0) branches on x3, with no 1 child
+  set.clear();
+  set.insert(path({{1, true}, {4, false}, {6, false}}));
+  set.insert(path({{1, true}, {4, false}, {6, true}}));  // contracts to depth 2
+  EXPECT_FALSE(set.covered(q));
+  EXPECT_FALSE(set.covered(q, hint));
+}
+
+TEST(CodeSetHintCase, HintResumesAndRefreshes) {
+  CodeSet set;
+  const PathCode q = path({{1, false}, {2, true}, {3, false}});
+  LookupHint hint;
+  EXPECT_FALSE(set.covered(q, hint));
+  EXPECT_EQ(hint.depth, 0u);  // the empty table stops at the root
+  set.insert(path({{1, false}, {2, true}, {3, true}}));
+  EXPECT_FALSE(set.covered(q, hint));
+  // Resumed at the root, walked on to (x1,0)(x2,1), which has no 0 child.
+  EXPECT_EQ(hint.depth, 2u);
+  set.insert(q);              // q's node completes and contracts upward
+  EXPECT_TRUE(set.covered(q, hint));
+  EXPECT_TRUE(set.covered(q.child(7, false), hint));
+  // An inconsistent hint depth (deeper than the code) is ignored.
+  LookupHint deep = hint;
+  deep.depth = 9;
+  EXPECT_TRUE(set.covered(q, deep));
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // batching, contraction charges, last-local-completion tracking). These
 // tests therefore assert *operation-for-operation identity* — same pop
 // sequence, same victim vectors in the same order, same extraction sets —
-// over long randomized mixed op streams, for all three SelectRules.
+// over long randomized mixed op streams, for all three SelectRules. Every
+// entry also carries a tagged LookupHint, and each pop and sweep checks that
+// the hint it is handed is its own entry's, as last refreshed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,6 +54,49 @@ bool in_any(const std::vector<PathCode>& regions, const Subproblem& p) {
                      [&p](const PathCode& r) { return r.contains(p.code); });
 }
 
+/// Gives every pushed entry a hint naming it (`node` is the tag) and tracks
+/// the generation each tag was last refreshed to. The reference pool has no
+/// hints; these checks show ActivePool moves each hint with its entry through
+/// sifts, compactions and rebuilds, and keeps what a sweep's victim wrote.
+struct HintTags {
+  struct Owner {
+    Subproblem problem;
+    std::uint32_t gen;
+  };
+  std::vector<Owner> owners;  // owners[tag]
+
+  core::LookupHint tag(const Subproblem& p) {
+    owners.push_back(Owner{p, 1});
+    return core::LookupHint{static_cast<std::int32_t>(owners.size() - 1), 1, 0};
+  }
+
+  void expect_own(const core::LookupHint& hint, const Subproblem& p) const {
+    ASSERT_LT(static_cast<std::size_t>(hint.node), owners.size());
+    const Owner& o = owners[static_cast<std::size_t>(hint.node)];
+    EXPECT_EQ(o.problem, p) << "hint handed to another entry";
+    EXPECT_EQ(o.gen, hint.gen) << "refreshed hint lost";
+  }
+
+  /// ActivePool's victim for a reference-pool predicate: checks the hint,
+  /// refreshes it the way the worker's covered sweep does, then decides.
+  template <typename Pred>
+  auto victim(Pred pred) {
+    return [this, pred](const Subproblem& p, core::LookupHint& hint) {
+      expect_own(hint, p);
+      hint.gen += 2;
+      owners[static_cast<std::size_t>(hint.node)].gen = hint.gen;
+      return pred(p);
+    };
+  }
+
+  Subproblem pop(ActivePool& pool) {
+    core::LookupHint hint;
+    Subproblem p = pool.pop(&hint);
+    expect_own(hint, p);
+    return p;
+  }
+};
+
 class PoolDiff : public ::testing::TestWithParam<SelectRule> {};
 
 TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
@@ -59,15 +104,17 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
   support::Rng rng(0xF00D + static_cast<std::uint64_t>(rule));
   ActivePool pool(rule);
   LegacyPool legacy(rule);
+  HintTags tags;
 
   for (int step = 0; step < 20000; ++step) {
     const double dice = rng.uniform();
     if (pool.empty() || dice < 0.50) {
       Subproblem p = random_problem(rng);
       legacy.push(p);
-      pool.push(std::move(p));
+      const core::LookupHint hint = tags.tag(p);
+      pool.push(std::move(p), hint);
     } else if (dice < 0.72) {
-      EXPECT_EQ(pool.pop(), legacy.pop()) << "pop diverged at step " << step;
+      EXPECT_EQ(tags.pop(pool), legacy.pop()) << "pop diverged at step " << step;
     } else if (dice < 0.82) {
       const double threshold = static_cast<double>(rng.pick(72));
       const auto got = pool.prune_above(threshold);
@@ -85,8 +132,8 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
       const auto covered = [&regions](const Subproblem& p) {
         return in_any(regions, p);
       };
-      expect_same(pool.remove_if(covered), legacy.remove_if(covered),
-                  "region remove_if");
+      expect_same(pool.remove_if(tags.victim(covered)),
+                  legacy.remove_if(covered), "region remove_if");
     } else {
       const std::size_t k = 1 + rng.pick(8);
       expect_same(pool.extract_for_sharing(k), legacy.extract_for_sharing(k),
@@ -105,7 +152,7 @@ TEST_P(PoolDiff, MixedOpStreamIsOperationIdentical) {
   expect_same(pool.snapshot(), sorted, "snapshot");
 
   while (!legacy.empty()) {
-    EXPECT_EQ(pool.pop(), legacy.pop()) << "drain diverged";
+    EXPECT_EQ(tags.pop(pool), legacy.pop()) << "drain diverged";
   }
   EXPECT_TRUE(pool.empty());
   pool.check_invariants();
@@ -120,6 +167,7 @@ TEST_P(PoolDiff, LargePoolIsOperationIdentical) {
   support::Rng rng(0xAB5EED + static_cast<std::uint64_t>(rule));
   ActivePool pool(rule);
   LegacyPool legacy(rule);
+  HintTags tags;
 
   // Continuous bounds: at this pool size the coarse pick(64) bounds breed
   // exact (depth, bound, code) duplicates, and the seed reference's
@@ -129,7 +177,8 @@ TEST_P(PoolDiff, LargePoolIsOperationIdentical) {
     for (std::size_t i = 0; i < count; ++i) {
       Subproblem p{random_code(rng, 10), rng.uniform()};
       legacy.push(p);
-      pool.push(std::move(p));
+      const core::LookupHint hint = tags.tag(p);
+      pool.push(std::move(p), hint);
     }
   };
 
@@ -150,8 +199,8 @@ TEST_P(PoolDiff, LargePoolIsOperationIdentical) {
     const auto covered = [&regions](const Subproblem& p) {
       return in_any(regions, p);
     };
-    expect_same(pool.remove_if(covered), legacy.remove_if(covered),
-                "large region remove_if");
+    expect_same(pool.remove_if(tags.victim(covered)),
+                legacy.remove_if(covered), "large region remove_if");
     const std::size_t k = 1 + rng.pick(32);
     expect_same(pool.extract_for_sharing(k), legacy.extract_for_sharing(k),
                 "large extract_for_sharing");
@@ -166,7 +215,7 @@ TEST_P(PoolDiff, LargePoolIsOperationIdentical) {
   push_batch(1500);
   pool.check_invariants();
   while (!legacy.empty()) {
-    EXPECT_EQ(pool.pop(), legacy.pop()) << "post-clear drain diverged";
+    EXPECT_EQ(tags.pop(pool), legacy.pop()) << "post-clear drain diverged";
   }
   EXPECT_TRUE(pool.empty());
   pool.check_invariants();

@@ -91,7 +91,9 @@ TEST(ActivePool, RemoveIfFiltersAndReturns) {
     pool.push(make({{static_cast<std::uint32_t>(i), false}}, double(i)));
   }
   const auto removed =
-      pool.remove_if([](const Subproblem& p) { return p.bound >= 5.0; });
+      pool.remove_if([](const Subproblem& p, core::LookupHint&) {
+        return p.bound >= 5.0;
+      });
   EXPECT_EQ(removed.size(), 5u);
   EXPECT_EQ(pool.size(), 5u);
   // Remaining heap still pops in order.
@@ -107,7 +109,8 @@ TEST(ActivePool, RemoveIfFiltersAndReturns) {
 TEST(ActivePool, RemoveIfNothingMatchesKeepsPool) {
   ActivePool pool(SelectRule::kDepthFirst);
   pool.push(make({{1, false}}, 1.0));
-  const auto removed = pool.remove_if([](const Subproblem&) { return false; });
+  const auto removed = pool.remove_if(
+      [](const Subproblem&, core::LookupHint&) { return false; });
   EXPECT_TRUE(removed.empty());
   EXPECT_EQ(pool.size(), 1u);
 }
@@ -154,7 +157,8 @@ TEST(ActivePool, ExtractForSharingTakesEarlierInsertedTwin) {
   EXPECT_EQ(given[0], twin);
   // Taking twin#1 (slot 1) compacts to [x, e, twin#2, f], which is already a
   // heap; taking twin#2 (slot 3) would have left [x, twin#1, e, f].
-  const auto rest = pool.remove_if([](const Subproblem&) { return true; });
+  const auto rest = pool.remove_if(
+      [](const Subproblem&, core::LookupHint&) { return true; });
   EXPECT_EQ(rest, (std::vector<Subproblem>{x, e, twin, f}));
 }
 

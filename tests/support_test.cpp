@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <set>
 
 #include "support/bytes.hpp"
+#include "support/fifo.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -184,6 +186,36 @@ TEST(Bytes, VarintSizeMatchesEncoding) {
     w.varint(v);
     EXPECT_EQ(varint_size(v), w.size()) << v;
   }
+}
+
+TEST(Fifo, MatchesDequeThroughDrainsAndCompactions) {
+  // Bursts of pushes and pops against a std::deque: some drain the queue
+  // (clear), some leave a growing backlog whose consumed prefix passes
+  // kCompactAt (compaction).
+  Rng rng(7);
+  Fifo<std::vector<int>> fifo;
+  std::deque<std::vector<int>> ref;
+  int next = 0;
+  for (int burst = 0; burst < 400; ++burst) {
+    const std::size_t pushes = rng.pick(3 * Fifo<int>::kCompactAt);
+    for (std::size_t k = 0; k < pushes; ++k) {
+      fifo.emplace_back(std::vector<int>{next, next + 1});
+      ref.emplace_back(std::vector<int>{next, next + 1});
+      ++next;
+    }
+    const std::size_t pops = rng.chance(0.3) ? ref.size() : rng.pick(ref.size() + 1);
+    for (std::size_t k = 0; k < pops; ++k) {
+      ASSERT_FALSE(fifo.empty());
+      EXPECT_EQ(fifo.pop_front(), ref.front());
+      ref.pop_front();
+    }
+    EXPECT_EQ(fifo.empty(), ref.empty());
+  }
+  while (!ref.empty()) {
+    EXPECT_EQ(fifo.pop_front(), ref.front());
+    ref.pop_front();
+  }
+  EXPECT_TRUE(fifo.empty());
 }
 
 TEST(Accumulator, BasicMoments) {
